@@ -11,12 +11,16 @@ test:
 vet:
 	$(GO) vet ./...
 
-# lint runs go vet plus the repository's own analyzer suite
-# (cmd/sgx-perf-vet): the virtual-clock and lock-free hot-path
-# invariants, the concurrency dataflow checks (lock order, held-across,
-# atomic mixing) and the interprocedural boundary checks (transition
-# amplification, double fetch, pointer escape).
+# lint runs go vet, a gofmt check that fails on any unformatted file,
+# and the repository's own analyzer suite (cmd/sgx-perf-vet): the
+# virtual-clock and lock-free hot-path invariants, the concurrency
+# dataflow checks (lock order, held-across, atomic mixing), the
+# interprocedural boundary checks (transition amplification, double
+# fetch, pointer escape) and the secret-flow checks (secretflow,
+# edlflow).
 lint: vet
+	@unformatted="$$(gofmt -l .)" || exit 1; \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l: unformatted files:"; echo "$$unformatted"; exit 1; fi
 	$(GO) run ./cmd/sgx-perf-vet
 
 # The recording pipeline, the live streaming engine
@@ -26,11 +30,14 @@ lint: vet
 # concurrency-sensitive packages; run their suites under the race
 # detector, together with the simulator layers they drive (machine, SDK
 # runtime, host) — lock-ordering bugs between the logger and the SDK
-# sync primitives only surface when both run raced. RACE_PKGS is the one
-# place that list lives; race and verify share it.
+# sync primitives only surface when both run raced. The lint framework
+# joins them for its process-wide export-data memo, which concurrent
+# source lints (serve) share. RACE_PKGS is the one place that list
+# lives; race and verify share it.
 RACE_PKGS = ./internal/perf/... ./internal/evstore/... \
 	./internal/pool/... ./internal/serve/... ./internal/experiments/... \
-	./internal/sgx/... ./internal/sdk/... ./internal/host/...
+	./internal/sgx/... ./internal/sdk/... ./internal/host/... \
+	./internal/lint/...
 
 race:
 	$(GO) test -race $(RACE_PKGS)

@@ -1,7 +1,26 @@
 // Command sgx-perf-vet runs the repository's own static-analysis suite
-// (internal/lint): the virtual-clock invariant for simulator packages and
-// the lock-free hot-path invariant for the logger. It exits non-zero when
-// any diagnostic is reported, so `make verify` fails on violations.
+// (internal/lint), all ten analyzers over one parsed and type-checked
+// tree:
+//
+//   - vclock: no wall-clock reads in simulator packages;
+//   - hotpath: no Logger-level mutex on the logger's hot path;
+//   - lockorder: one global lock-acquisition order (an acyclic graph);
+//   - heldacross: no lock held across a channel op, pool fan-out or
+//     ocall dispatch;
+//   - atomicmix: no field accessed both atomically and plainly;
+//   - transamp: no ocall dispatch inside a loop, directly or through a
+//     callee;
+//   - doublefetch: no boundary buffer re-read after an ocall crossing;
+//   - ptrescape: no enclave pointer passed as an ocall argument;
+//   - secretflow: no //sgxperf:secret data reaching a boundary sink
+//     unsealed;
+//   - edlflow: handlers treat their buffers as the EDL directions say.
+//
+// It exits non-zero when any diagnostic is reported, so `make verify`
+// fails on violations. Imports from outside the tree are read from the
+// go command's export data, so the go command should be on PATH;
+// without it the suite falls back to type-checking them from source,
+// with the same diagnostics but several times slower.
 //
 // Usage:
 //
