@@ -26,8 +26,8 @@ lint: vet
 # The recording pipeline, the live streaming engine
 # (internal/perf/live), the event store with its subscription tap and
 # parallel codec (internal/evstore) and the shared worker pool
-# (internal/pool) behind the parallel analyzer are the
-# concurrency-sensitive packages; run their suites under the race
+# (internal/pool) behind the codec, the live snapshot and the lint
+# passes are the concurrency-sensitive packages; run their suites under the race
 # detector, together with the simulator layers they drive (machine, SDK
 # runtime, host) — lock-ordering bugs between the logger and the SDK
 # sync primitives only surface when both run raced. The lint framework
@@ -50,13 +50,15 @@ verify: lint
 	$(GO) test ./...
 	$(GO) test -race $(RACE_PKGS)
 
-# Short fuzz smoke over the two parser/codec boundaries that accept
-# untrusted bytes: the columnar trace codec round-trip and the EDL
-# parser. FUZZTIME bounds each target (CI uses the default).
+# Short fuzz smoke over the boundaries that accept untrusted input: the
+# columnar trace codec round-trip, the EDL parser, and the analyser over
+# malformed event graphs (checked against the brute-force oracle).
+# FUZZTIME bounds each target (CI uses the default).
 FUZZTIME ?= 20s
 fuzz:
 	$(GO) test -fuzz=FuzzCodecRoundTrip -fuzztime=$(FUZZTIME) ./internal/evstore
 	$(GO) test -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/edl
+	$(GO) test -run='^$$' -fuzz=FuzzAnalyze -fuzztime=$(FUZZTIME) ./internal/perf/analyzer
 
 # Re-measure logger recording throughput, chaining the previous results
 # in BENCH_results.json as the baseline for the speedup computation.
@@ -64,11 +66,11 @@ bench-contention:
 	$(GO) run ./cmd/sgx-perf-bench -exp contention \
 		-baseline BENCH_results.json -json BENCH_results.json
 
-# Measure analysis-pipeline throughput (serial vs parallel) and trace
-# codec speed (gob vs columnar), merging the rows into BENCH_results.json
-# under the "analyze" key.
+# Measure the analysis fold (over the resident trace and from a saved
+# file) and trace codec speed (gob vs columnar), merging the rows into
+# BENCH_results.json under the "analyze" key.
 bench-analyze:
-	GOMAXPROCS=8 $(GO) run ./cmd/sgx-perf-bench -exp analyze -repeats 5 \
+	$(GO) run ./cmd/sgx-perf-bench -exp analyze -repeats 5 \
 		-json BENCH_results.json
 
 # Run the closed switchless loop (baseline → lint → auto-config →

@@ -14,12 +14,15 @@ package sgxperf_test
 import (
 	"bytes"
 	"fmt"
+	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
 	"sgxperf"
 	"sgxperf/internal/evstore"
 	"sgxperf/internal/experiments"
+	"sgxperf/internal/perf/analyzer"
 	"sgxperf/internal/perf/events"
 )
 
@@ -245,26 +248,66 @@ func BenchmarkAblation_Switchless(b *testing.B) {
 	}
 }
 
-// BenchmarkAnalyzeParallel compares the serial reference analysis
-// pipeline against the parallel one (worker-pool kernels + interval
-// index) on a synthetic 10k-call trace. events/s is wall-clock
-// post-processing throughput.
-func BenchmarkAnalyzeParallel(b *testing.B) {
-	for _, mode := range []string{"serial", "parallel"} {
-		b.Run(mode, func(b *testing.B) {
-			trace, err := experiments.SynthAnalysisTrace(10000)
-			if err != nil {
-				b.Fatal(err)
-			}
-			a, err := sgxperf.NewAnalyzer(trace, sgxperf.AnalyzerOptions{Serial: mode == "serial"})
-			if err != nil {
-				b.Fatal(err)
-			}
-			nEvents := trace.Ecalls.Len() + trace.Ocalls.Len() + trace.Paging.Len() + trace.Syncs.Len()
+// BenchmarkAnalyze prices the analyser's one engine, the fold, on a
+// synthetic 10k-call trace: "resident" runs Analyze over the in-memory
+// trace (which sorts a private copy, as the trace is not stream-sorted);
+// "stream" runs AnalyzeStream over the stream-sorted trace saved to a
+// file, chunk decode included. Both reports must equal the brute-force
+// oracle, which internal/perf/analyzer's gates check on the same
+// generator. events/s is wall-clock post-processing throughput.
+func BenchmarkAnalyze(b *testing.B) {
+	trace, err := experiments.SynthAnalysisTrace(10000)
+	if err != nil {
+		b.Fatal(err)
+	}
+	nEvents := trace.Ecalls.Len() + trace.Ocalls.Len() + trace.Paging.Len() + trace.Syncs.Len()
+	a, err := sgxperf.NewAnalyzer(trace, sgxperf.AnalyzerOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	want := a.Analyze()
+
+	sorted, err := experiments.SynthAnalysisTrace(10000)
+	if err != nil {
+		b.Fatal(err)
+	}
+	events.StreamSort(sorted)
+	path := filepath.Join(b.TempDir(), "trace.evc")
+	if err := sorted.SaveFile(path); err != nil {
+		b.Fatal(err)
+	}
+	stream := func(b *testing.B) *analyzer.Report {
+		st, err := events.OpenStreamTrace(path)
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer st.Close()
+		src, err := analyzer.NewStreamTraceSource(st)
+		if err != nil {
+			b.Fatal(err)
+		}
+		r, err := analyzer.AnalyzeStream(src, analyzer.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		return r
+	}
+	if !reflect.DeepEqual(stream(b), want) {
+		b.Fatal("streaming report differs from the resident one")
+	}
+
+	for _, mode := range []struct {
+		name string
+		run  func(b *testing.B) *analyzer.Report
+	}{
+		{"resident", func(*testing.B) *analyzer.Report { return a.Analyze() }},
+		{"stream", stream},
+	} {
+		b.Run(mode.name, func(b *testing.B) {
 			b.ResetTimer()
 			start := time.Now()
 			for i := 0; i < b.N; i++ {
-				a.Analyze()
+				mode.run(b)
 			}
 			b.ReportMetric(float64(nEvents)*float64(b.N)/time.Since(start).Seconds(), "events/s")
 		})

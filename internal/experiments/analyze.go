@@ -1,15 +1,19 @@
 package experiments
 
-// The analysis-throughput experiment: how fast the post-processing
-// pipeline (§4.2) chews through a recorded trace, serial versus
-// parallel, and how fast traces move through the two on-disk formats
-// (legacy gob versus the chunked columnar codec). Unlike the paper's
-// virtual-time figures these are wall-clock numbers for the tool itself
-// — the sgx-perf analogue of "how long until the report is on screen".
+// The analysis-throughput experiment: how fast the analyser's one
+// engine, the streaming fold, chews through a recorded trace — over the
+// resident tables (Analyzer.Analyze) and from a saved file
+// (AnalyzeStream, decode included) — and how fast traces move through
+// the two on-disk formats (legacy gob versus the chunked columnar
+// codec). Unlike the paper's virtual-time figures these are wall-clock
+// numbers for the tool itself — the sgx-perf analogue of "how long
+// until the report is on screen".
 
 import (
 	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"sort"
@@ -23,9 +27,11 @@ import (
 	"sgxperf/internal/vtime"
 )
 
-// AnalyzeRow is one analysis-pipeline measurement.
+// AnalyzeRow is one analysis measurement.
 type AnalyzeRow struct {
-	Mode         string        `json:"mode"` // "serial" or "parallel"
+	// Mode is "resident" (Analyze over the in-memory trace) or "stream"
+	// (AnalyzeStream over the saved file, chunk decode included).
+	Mode         string        `json:"mode"`
 	Events       int           `json:"events"`
 	Wall         time.Duration `json:"wall_ns"`
 	EventsPerSec float64       `json:"events_per_sec"`
@@ -45,15 +51,14 @@ type AnalyzeResult struct {
 	Events  int `json:"events"`
 	Threads int `json:"threads"` // GOMAXPROCS during the run
 	Repeats int `json:"repeats"`
-	// ParallelEqualSerial records the reflect.DeepEqual check between the
-	// two pipelines' reports on this trace — the run is invalid if false.
-	ParallelEqualSerial bool         `json:"parallel_equal_serial"`
-	Analyze             []AnalyzeRow `json:"analyze"`
-	Codec               []CodecRow   `json:"codec"`
-	ParallelSpeedup     float64      `json:"parallel_speedup"`
-	SaveSpeedup         float64      `json:"codec_save_speedup_vs_gob"`
-	LoadSpeedup         float64      `json:"codec_load_speedup_vs_gob"`
-	BinaryBytesPerGob   float64      `json:"binary_size_fraction_of_gob"`
+	// StreamEqualsResident records the reflect.DeepEqual check between
+	// the two rows' reports on this trace — the run is invalid if false.
+	StreamEqualsResident bool         `json:"stream_equals_resident"`
+	Analyze              []AnalyzeRow `json:"analyze"`
+	Codec                []CodecRow   `json:"codec"`
+	SaveSpeedup          float64      `json:"codec_save_speedup_vs_gob"`
+	LoadSpeedup          float64      `json:"codec_load_speedup_vs_gob"`
+	BinaryBytesPerGob    float64      `json:"binary_size_fraction_of_gob"`
 }
 
 // synthRNG is the deterministic generator for the synthetic trace.
@@ -180,9 +185,11 @@ func medianWall(runs []time.Duration) time.Duration {
 	return runs[len(runs)/2]
 }
 
-// RunAnalyzeThroughput measures the analysis pipeline serial versus
-// parallel and the trace codec versus gob on a synthetic nOps-call
-// trace. repeats ≤ 0 selects a default; the median run is reported.
+// RunAnalyzeThroughput measures the fold over the resident trace and
+// from a saved file, and the trace codec versus gob, on a synthetic
+// nOps-call trace stream-sorted first (so both rows fold the same
+// chunks without a sort). repeats ≤ 0 selects a default; the median run
+// is reported.
 func RunAnalyzeThroughput(nOps, repeats int) (*AnalyzeResult, error) {
 	if nOps <= 0 {
 		nOps = 50000
@@ -194,34 +201,68 @@ func RunAnalyzeThroughput(nOps, repeats int) (*AnalyzeResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	events.StreamSort(tr)
 	nEvents := traceEvents(tr)
 	res := &AnalyzeResult{Events: nEvents, Threads: runtime.GOMAXPROCS(0), Repeats: repeats}
 
-	// Analysis: serial reference, then the parallel pipeline, then the
-	// equality check that makes the comparison meaningful.
+	dir, err := os.MkdirTemp("", "sgxperf-analyze-*")
+	if err != nil {
+		return nil, err
+	}
+	defer os.RemoveAll(dir)
+	path := filepath.Join(dir, "trace.evc")
+	if err := tr.SaveFile(path); err != nil {
+		return nil, err
+	}
+
+	// Analysis: the resident fold, the streaming fold from the file, then
+	// the equality check that makes the two rows comparable.
 	var reports [2]*analyzer.Report
-	for mi, mode := range []string{"serial", "parallel"} {
-		runs := make([]time.Duration, 0, repeats)
-		for rep := 0; rep < repeats; rep++ {
-			a, err := analyzer.New(tr, analyzer.Options{Serial: mode == "serial"})
+	modes := []struct {
+		name string
+		run  func() (*analyzer.Report, error)
+	}{
+		{"resident", func() (*analyzer.Report, error) {
+			a, err := analyzer.New(tr, analyzer.Options{})
 			if err != nil {
 				return nil, err
 			}
+			return a.Analyze(), nil
+		}},
+		{"stream", func() (*analyzer.Report, error) {
+			st, err := events.OpenStreamTrace(path)
+			if err != nil {
+				return nil, err
+			}
+			defer st.Close()
+			src, err := analyzer.NewStreamTraceSource(st)
+			if err != nil {
+				return nil, err
+			}
+			return analyzer.AnalyzeStream(src, analyzer.Options{})
+		}},
+	}
+	for mi, mode := range modes {
+		runs := make([]time.Duration, 0, repeats)
+		for rep := 0; rep < repeats; rep++ {
 			start := time.Now()
-			reports[mi] = a.Analyze()
+			r, err := mode.run()
+			if err != nil {
+				return nil, err
+			}
 			runs = append(runs, time.Since(start))
+			reports[mi] = r
 		}
 		wall := medianWall(runs)
 		res.Analyze = append(res.Analyze, AnalyzeRow{
-			Mode: mode, Events: nEvents, Wall: wall,
+			Mode: mode.name, Events: nEvents, Wall: wall,
 			EventsPerSec: float64(nEvents) / wall.Seconds(),
 		})
 	}
-	res.ParallelEqualSerial = reflect.DeepEqual(reports[0], reports[1])
-	if !res.ParallelEqualSerial {
-		return nil, fmt.Errorf("analyze bench: parallel report diverges from serial")
+	res.StreamEqualsResident = reflect.DeepEqual(reports[0], reports[1])
+	if !res.StreamEqualsResident {
+		return nil, fmt.Errorf("analyze bench: streaming report diverges from resident")
 	}
-	res.ParallelSpeedup = float64(res.Analyze[0].Wall) / float64(res.Analyze[1].Wall)
 
 	// Serialisation: save and load in both formats, same trace.
 	var sizes [2]int
@@ -279,11 +320,11 @@ func RenderAnalyze(res *AnalyzeResult) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Analysis throughput (%d events, GOMAXPROCS=%d, median of %d)\n",
 		res.Events, res.Threads, res.Repeats)
-	fmt.Fprintf(&b, "  %-9s %12s %14s\n", "pipeline", "wall", "events/sec")
+	fmt.Fprintf(&b, "  %-9s %12s %14s\n", "fold", "wall", "events/sec")
 	for _, r := range res.Analyze {
 		fmt.Fprintf(&b, "  %-9s %12v %14.0f\n", r.Mode, r.Wall.Round(time.Microsecond), r.EventsPerSec)
 	}
-	fmt.Fprintf(&b, "  parallel speedup: %.2fx (reports DeepEqual: %v)\n\n", res.ParallelSpeedup, res.ParallelEqualSerial)
+	fmt.Fprintf(&b, "  (resident: in-memory tables; stream: saved file, decode included; reports DeepEqual: %v)\n\n", res.StreamEqualsResident)
 	fmt.Fprintf(&b, "Trace codec (same trace, both formats)\n")
 	fmt.Fprintf(&b, "  %-6s %-7s %10s %12s %10s\n", "op", "format", "bytes", "wall", "MB/s")
 	for _, r := range res.Codec {

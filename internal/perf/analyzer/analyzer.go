@@ -4,16 +4,25 @@
 // anti-patterns of Table 1 (SISC, SDSC, SNC, SSC, paging) using the
 // paper's weighted-ratio rules (Equations 1–3), and enclave-interface
 // security hints (§3.6, §4.3.2).
+//
+// One engine computes every report: the streaming fold (fold.go) over
+// time-ordered chunks. Analyzer.Analyze runs it over a resident trace's
+// own tables, AnalyzeStream over a saved file read chunk by chunk, and
+// the serve daemon window by window; all three give the same report for
+// the same events.
 package analyzer
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"sync"
 	"time"
 
 	"sgxperf/internal/edl"
+	"sgxperf/internal/evstore"
 	"sgxperf/internal/perf/events"
 	"sgxperf/internal/sgx"
 	"sgxperf/internal/vtime"
@@ -90,49 +99,27 @@ type Options struct {
 	// Traces from multi-enclave applications — SecureKeeper spawns one
 	// enclave per client (§5.2.4) — can be dissected per enclave.
 	Enclave sgx.EnclaveID
-	// Serial forces the single-threaded reference pipeline. By default
-	// Analyze partitions its kernels over the shared worker pool
-	// (internal/pool) and merges deterministically; the two paths produce
-	// reflect.DeepEqual reports, so Serial exists as an escape hatch for
-	// debugging and as the baseline the parallel path is tested against.
-	Serial bool
 }
 
-// Analyzer computes a Report from a trace.
+// Analyzer computes a Report from a resident trace. It reads the trace
+// when asked, not when built: Analyze folds the tables as they are at
+// the call. The per-name queries (Stats, AllStats, WakeGraph and their
+// CSV forms) read a report computed on first use; the per-call queries
+// (Histogram, Scatter, IndirectParentOf, CallNames) read a per-call
+// index built on first use. Both are memoised for the Analyzer's life.
 type Analyzer struct {
 	trace *events.Trace
 	opts  Options
+	iface *edl.Interface
 
-	freq       vtime.Frequency
-	transition vtime.Cycles
+	reportOnce sync.Once
+	report     *Report
 
-	// prepared data
-	all      []call
-	byName   map[string][]int // indexes into all
-	perNames []string         // sorted names
-	iface    *edl.Interface
+	indexOnce sync.Once
+	index     *callIndex
 }
 
-// call is one prepared call event with derived fields.
-type call struct {
-	ev events.CallEvent
-	// adjusted is the execution duration: for ecalls the transition
-	// round-trip is subtracted (§4.1.2); ocall timestamps already exclude
-	// transitions.
-	adjusted time.Duration
-	// indirect is the index (into Analyzer.all) of the indirect parent,
-	// or -1.
-	indirect int
-	// gap is the time between the indirect parent's end and this call's
-	// start.
-	gap time.Duration
-	// offsetStart/offsetEnd are distances from the direct parent's
-	// start/end, when a direct parent exists.
-	offsetStart, offsetEnd time.Duration
-	hasDirect              bool
-}
-
-// New prepares an analyser over the trace. A nil trace returns an error
+// New returns an analyser over the trace. A nil trace returns an error
 // wrapping ErrNoTrace.
 func New(trace *events.Trace, opts Options) (*Analyzer, error) {
 	if trace == nil {
@@ -141,219 +128,202 @@ func New(trace *events.Trace, opts Options) (*Analyzer, error) {
 	if opts.Weights == (Weights{}) {
 		opts.Weights = DefaultWeights()
 	}
-	a := &Analyzer{
-		trace:      trace,
-		opts:       opts,
-		freq:       trace.Frequency(),
-		transition: trace.TransitionCycles(),
-		byName:     make(map[string][]int),
-	}
-	a.iface = opts.Interface
+	a := &Analyzer{trace: trace, opts: opts, iface: opts.Interface}
 	if a.iface == nil {
-		if parsed := interfaceFromTrace(trace); parsed != nil {
-			a.iface = parsed
-		}
+		a.iface = interfaceFromTrace(trace)
 	}
-	a.prepare()
 	return a, nil
 }
 
 // interfaceFromTrace recovers the EDL the logger embedded, if any.
 func interfaceFromTrace(trace *events.Trace) *edl.Interface {
-	var out *edl.Interface
+	var metas []events.EnclaveMeta
 	trace.Enclaves.Scan(func(_ int, meta events.EnclaveMeta) bool {
-		if meta.EDL == "" {
-			return true
-		}
-		if iface, _, err := edl.Parse(meta.EDL); err == nil {
-			out = iface
-			return false
-		}
+		metas = append(metas, meta)
 		return true
 	})
-	return out
-}
-
-// prepare merges both call tables, sorts by start time, computes adjusted
-// durations, direct-parent offsets and indirect parents (Fig. 4). The
-// tables are read with the zero-copy scan path: events are materialised
-// once, directly into the prepared slice.
-func (a *Analyzer) prepare() {
-	a.all = make([]call, 0, a.trace.Ecalls.Len()+a.trace.Ocalls.Len())
-	a.trace.Ecalls.Scan(func(_ int, e events.CallEvent) bool {
-		if a.opts.Enclave != 0 && e.Enclave != a.opts.Enclave {
-			return true
-		}
-		adj := a.freq.Duration(e.Duration() - a.transition)
-		if adj < 0 {
-			adj = 0
-		}
-		a.all = append(a.all, call{ev: e, adjusted: adj, indirect: -1})
-		return true
-	})
-	a.trace.Ocalls.Scan(func(_ int, o events.CallEvent) bool {
-		if a.opts.Enclave != 0 && o.Enclave != a.opts.Enclave {
-			return true
-		}
-		a.all = append(a.all, call{ev: o, adjusted: a.freq.Duration(o.Duration()), indirect: -1})
-		return true
-	})
-	sort.SliceStable(a.all, func(i, j int) bool {
-		if a.all[i].ev.Start != a.all[j].ev.Start {
-			return a.all[i].ev.Start < a.all[j].ev.Start
-		}
-		return a.all[i].ev.ID < a.all[j].ev.ID
-	})
-
-	byID := make(map[events.EventID]int, len(a.all))
-	for i := range a.all {
-		byID[a.all[i].ev.ID] = i
-	}
-	for i := range a.all {
-		c := &a.all[i]
-		a.byName[c.ev.Name] = append(a.byName[c.ev.Name], i)
-		if c.ev.Parent != events.NoEvent {
-			if pi, ok := byID[c.ev.Parent]; ok {
-				c.hasDirect = true
-				p := a.all[pi].ev
-				c.offsetStart = a.freq.Duration(c.ev.Start - p.Start)
-				c.offsetEnd = a.freq.Duration(p.End - c.ev.End)
-			}
-		}
-	}
-	a.perNames = make([]string, 0, len(a.byName))
-	for n := range a.byName {
-		a.perNames = append(a.perNames, n)
-	}
-	sort.Strings(a.perNames)
-
-	// Indirect parents: within each (thread, kind, direct parent) group,
-	// in start order, the indirect parent is simply the previous call —
-	// calls on one thread do not overlap (Fig. 4).
-	type groupKey struct {
-		thread int64
-		kind   events.CallKind
-		parent events.EventID
-	}
-	last := make(map[groupKey]int)
-	for i := range a.all {
-		c := &a.all[i]
-		k := groupKey{int64(c.ev.Thread), c.ev.Kind, c.ev.Parent}
-		if pi, ok := last[k]; ok {
-			c.indirect = pi
-			c.gap = a.freq.Duration(c.ev.Start - a.all[pi].ev.End)
-			if c.gap < 0 {
-				c.gap = 0
-			}
-		}
-		last[k] = i
-	}
-}
-
-// IndirectParentOf returns the event ID of a call's indirect parent
-// (Fig. 4), or (NoEvent, false) when it has none.
-func (a *Analyzer) IndirectParentOf(id events.EventID) (events.EventID, bool) {
-	for i := range a.all {
-		if a.all[i].ev.ID != id {
-			continue
-		}
-		if a.all[i].indirect < 0 {
-			return events.NoEvent, false
-		}
-		return a.all[a.all[i].indirect].ev.ID, true
-	}
-	return events.NoEvent, false
-}
-
-// CallNames returns every distinct call name in the trace, sorted.
-func (a *Analyzer) CallNames() []string {
-	out := make([]string, len(a.perNames))
-	copy(out, a.perNames)
-	return out
+	return interfaceFromMetas(metas)
 }
 
 // Interface returns the EDL interface in use (explicit or recovered), or
 // nil.
 func (a *Analyzer) Interface() *edl.Interface { return a.iface }
 
-// callsNamed returns the prepared calls with the given name.
-func (a *Analyzer) callsNamed(name string) []*call {
-	idx := a.byName[name]
-	out := make([]*call, len(idx))
-	for i, j := range idx {
-		out[i] = &a.all[j]
-	}
-	return out
-}
-
-// kindOf returns the kind of the named call (all events of one name share
-// a kind).
-func (a *Analyzer) kindOf(name string) events.CallKind {
-	idx := a.byName[name]
-	if len(idx) == 0 {
-		return 0
-	}
-	return a.all[idx[0]].ev.Kind
-}
-
-// Analyze produces the full report. Unless Options.Serial is set, the
-// kernels run concurrently on the shared worker pool and are merged
-// deterministically; the result is reflect.DeepEqual to the serial
-// pipeline's on any trace (see parallel.go for the determinism
-// argument).
+// Analyze produces the full report.
 func (a *Analyzer) Analyze() *Report {
 	r, _ := a.AnalyzeContext(context.Background())
 	return r
 }
 
-// AnalyzeContext is Analyze with cooperative cancellation: long
-// analyses stop claiming new work once ctx is done and the call returns
-// ctx.Err() with a nil report. Cancellation is observed between
-// kernels and between pool partitions, never mid-partition, so an
-// uncancelled AnalyzeContext produces exactly Analyze's report — the
-// deterministic-merge guarantee is unchanged.
+// AnalyzeContext is Analyze with cooperative cancellation: the fold
+// checks ctx before each chunk it reads and, once ctx is done, the call
+// returns ctx.Err() with a nil report. An uncancelled AnalyzeContext
+// produces exactly Analyze's report.
+//
+// The fold reads the trace's own chunks when its ecall, ocall and
+// paging tables are already stream-sorted (one O(n) check); otherwise it
+// sorts a private copy. The caller's trace is never reordered: its
+// ContentKey and insert subscribers depend on its order.
 func (a *Analyzer) AnalyzeContext(ctx context.Context) (*Report, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	var r *Report
-	if a.opts.Serial {
-		r = a.analyzeSerial(ctx)
-	} else {
-		r = a.analyzeParallel(ctx)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return r, nil
+	src := NewTraceSource(a.trace)
+	src.Ecalls = streamSorted(a.trace.Ecalls, callKeyOf)
+	src.Ocalls = streamSorted(a.trace.Ocalls, callKeyOf)
+	src.Paging = streamSorted(a.trace.Paging, pagingKeyOf)
+	return analyzeSource(ctx, src, a.opts, a.iface)
 }
 
-// analyzeSerial is the single-threaded reference pipeline: each kernel
-// runs to completion before the next starts, in a fixed order.
-// Cancellation is checked between kernels.
-func (a *Analyzer) analyzeSerial(ctx context.Context) *Report {
-	r := &Report{Workload: a.workload()}
-	steps := []func(){
-		func() { r.Stats = a.AllStats() },
-		func() { r.Graph = a.CallGraph() },
-		func() { r.Paging = a.PagingSummary() },
-		func() { r.WakeGraph = a.WakeGraph() },
-		func() { r.Switchless = a.SwitchlessSummary() },
-		func() { r.Findings = append(r.Findings, a.DetectMoving()...) },
-		func() { r.Findings = append(r.Findings, a.DetectReordering()...) },
-		func() { r.Findings = append(r.Findings, a.DetectMerging()...) },
-		func() { r.Findings = append(r.Findings, a.DetectSSC()...) },
-		func() { r.Findings = append(r.Findings, a.DetectPaging()...) },
-		func() { SortFindings(r.Findings) },
-		func() { r.Security = a.SecurityHints() },
-	}
-	for _, step := range steps {
-		if ctx.Err() != nil {
-			return nil
+// memo returns the report the per-name queries read, computing it on
+// first use.
+func (a *Analyzer) memo() *Report {
+	a.reportOnce.Do(func() { a.report = a.Analyze() })
+	return a.report
+}
+
+// foldChunkRows is the chunk size of a sorted private copy: the fold
+// checks for cancellation between chunks.
+const foldChunkRows = 1024
+
+// chunkList is a ChunkSeq over chunks already in memory.
+type chunkList[T any] [][]T
+
+func (l chunkList[T]) NumChunks() int           { return len(l) }
+func (l chunkList[T]) Chunk(i int) ([]T, error) { return l[i], nil }
+
+// streamSorted returns a table's rows as a fold feed in key order. It
+// snapshots the table's chunks once, so the check and the fold see the
+// same rows even while a recorder appends. Already-sorted chunks are
+// fed as they are; otherwise the rows are copied in stable key order.
+func streamSorted[T any](t *evstore.Table[T], key func(*T) callKey) ChunkSeq[T] {
+	var chunks [][]T
+	n := 0
+	sorted := true
+	var last callKey
+	t.ScanChunks(func(rows []T) bool {
+		rows = rows[:len(rows):len(rows)]
+		for i := 0; sorted && i < len(rows); i++ {
+			k := key(&rows[i])
+			if n+i > 0 && k.less(last) {
+				sorted = false
+			}
+			last = k
 		}
-		step()
+		chunks = append(chunks, rows)
+		n += len(rows)
+		return true
+	})
+	if sorted {
+		return chunkList[T](chunks)
 	}
-	return r
+	// Sort (key, position) pairs, position breaking ties so the order is
+	// stable, then gather the rows.
+	type keyed struct {
+		k   callKey
+		pos int
+		row *T
+	}
+	keys := make([]keyed, 0, n)
+	for _, c := range chunks {
+		for i := range c {
+			keys = append(keys, keyed{key(&c[i]), len(keys), &c[i]})
+		}
+	}
+	slices.SortFunc(keys, func(x, y keyed) int {
+		switch {
+		case x.k.less(y.k):
+			return -1
+		case y.k.less(x.k):
+			return 1
+		}
+		return x.pos - y.pos
+	})
+	all := make([]T, n)
+	for i := range keys {
+		all[i] = *keys[i].row
+	}
+	out := make(chunkList[T], 0, (n+foldChunkRows-1)/foldChunkRows)
+	for len(all) > 0 {
+		m := min(len(all), foldChunkRows)
+		out = append(out, all[:m:m])
+		all = all[m:]
+	}
+	return out
+}
+
+// callIndex is the per-call view behind the Fig. 4, 7 and 8 queries:
+// every in-filter call in fold order, grouped by name, with the
+// indirect parent the fold's parent rule assigns it.
+type callIndex struct {
+	byName   map[string][]indexedCall
+	names    []string
+	indirect map[events.EventID]events.EventID
+	// t0 is the first in-filter call's start.
+	t0 vtime.Cycles
+}
+
+type indexedCall struct {
+	start    vtime.Cycles
+	adjusted time.Duration
+}
+
+// calls returns the per-call index, building it on first use by
+// replaying the fold's visiting order and parent rule over the sorted
+// ecalls and ocalls.
+func (a *Analyzer) calls() *callIndex {
+	a.indexOnce.Do(func() {
+		idx := &callIndex{
+			byName:   make(map[string][]indexedCall),
+			indirect: make(map[events.EventID]events.EventID),
+		}
+		freq, transition := a.trace.Frequency(), a.trace.TransitionCycles()
+		ctx := context.Background()
+		ec := newSeqCursor(ctx, streamSorted(a.trace.Ecalls, callKeyOf), foldPos{})
+		oc := newSeqCursor(ctx, streamSorted(a.trace.Ocalls, callKeyOf), foldPos{})
+		carry := NewFoldCarry()
+		first := true
+		for {
+			// Resident chunks never fail to load.
+			call, from, _ := nextCall(ec, oc)
+			if call == nil {
+				break
+			}
+			from.pop()
+			if a.opts.Enclave != 0 && call.Enclave != a.opts.Enclave {
+				continue
+			}
+			if first {
+				idx.t0, first = call.Start, false
+			}
+			if _, ok := idx.byName[call.Name]; !ok {
+				idx.names = append(idx.names, call.Name)
+			}
+			idx.byName[call.Name] = append(idx.byName[call.Name],
+				indexedCall{start: call.Start, adjusted: adjustedDuration(freq, transition, call)})
+			if _, _, prev, ok := carry.admit(call); ok {
+				idx.indirect[call.ID] = prev.id
+			}
+		}
+		sort.Strings(idx.names)
+		a.index = idx
+	})
+	return a.index
+}
+
+// IndirectParentOf returns the event ID of a call's indirect parent
+// (Fig. 4), or (NoEvent, false) when it has none.
+func (a *Analyzer) IndirectParentOf(id events.EventID) (events.EventID, bool) {
+	p, ok := a.calls().indirect[id]
+	if !ok {
+		return events.NoEvent, false
+	}
+	return p, true
+}
+
+// CallNames returns every distinct call name in the trace, sorted.
+func (a *Analyzer) CallNames() []string {
+	return slices.Clone(a.calls().names)
 }
 
 func (a *Analyzer) workload() string {

@@ -1,6 +1,8 @@
 package analyzer
 
 import (
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -73,6 +75,45 @@ func (b *builder) analyze(opts Options) *Analyzer {
 		b.t.Fatal(err)
 	}
 	return a
+}
+
+// report analyses the built trace and checks the report against the
+// brute-force oracle.
+func (b *builder) report(opts Options) *Report {
+	b.t.Helper()
+	got := b.analyze(opts).Analyze()
+	if want := oracleReport(b.trace, opts); !reflect.DeepEqual(got, want) {
+		b.t.Fatalf("report diverges from the oracle:\ngot  %+v\nwant %+v", got, want)
+	}
+	return got
+}
+
+// The detectors' findings, told apart structurally: merge/batch
+// findings (Equation 3) name a partner; reorder findings (Equation 2)
+// are SNC with reordering as the only solution; the rest of SISC and
+// SNC come from Equation 1.
+func isMerge(f Finding) bool { return f.Partner != "" }
+
+func isReorder(f Finding) bool {
+	return !isMerge(f) && f.Problem == ProblemSNC && slices.Equal(f.Solutions, []Solution{SolutionReorder})
+}
+
+func isMoving(f Finding) bool {
+	return !isMerge(f) && !isReorder(f) && (f.Problem == ProblemSISC || f.Problem == ProblemSNC)
+}
+
+func isSSC(f Finding) bool    { return f.Problem == ProblemSSC }
+func isPaging(f Finding) bool { return f.Problem == ProblemPaging }
+
+// detected returns the report's findings that keep selects.
+func detected(r *Report, keep func(Finding) bool) []Finding {
+	var out []Finding
+	for _, f := range r.Findings {
+		if keep(f) {
+			out = append(out, f)
+		}
+	}
+	return out
 }
 
 // --- Fig. 4: direct and indirect parents ------------------------------
@@ -284,8 +325,7 @@ func TestEquation1FlagsShortEcalls(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		b.ecall("bn_sub_part_words", 1, float64(i*100), 0.5, events.NoEvent)
 	}
-	a := b.analyze(Options{})
-	findings := a.DetectMoving()
+	findings := detected(b.report(Options{}), isMoving)
 	if len(findings) != 1 {
 		t.Fatalf("findings = %d, want 1", len(findings))
 	}
@@ -307,9 +347,8 @@ func TestEquation1FlagsShortOcallsAsSNC(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		b.ocall("ocall_malloc", 1, float64(100+i*100), 0.8, parent)
 	}
-	a := b.analyze(Options{})
 	var found *Finding
-	for _, f := range a.DetectMoving() {
+	for _, f := range detected(b.report(Options{}), isMoving) {
 		if f.Call == "ocall_malloc" {
 			f := f
 			found = &f
@@ -334,8 +373,7 @@ func TestEquation1IgnoresLongCalls(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		b.ecall("long", 1, float64(i*200), 100, events.NoEvent)
 	}
-	a := b.analyze(Options{})
-	if fs := a.DetectMoving(); len(fs) != 0 {
+	if fs := detected(b.report(Options{}), isMoving); len(fs) != 0 {
 		t.Fatalf("long calls flagged: %+v", fs)
 	}
 }
@@ -350,7 +388,7 @@ func TestEquation1Boundaries(t *testing.T) {
 		for i := shortCount; i < 100; i++ {
 			b.ecall("x", 1, float64(i*100), 50, events.NoEvent)
 		}
-		return b.analyze(Options{}).DetectMoving()
+		return detected(b.report(Options{}), isMoving)
 	}
 	if fs := mk(35); len(fs) != 1 {
 		t.Fatalf("35%% short: findings = %d, want 1", len(fs))
@@ -371,8 +409,7 @@ func TestEquation2FlagsCallsNearParentStart(t *testing.T) {
 		e := b.ecall("e", 1, start, 500, events.NoEvent)
 		b.ocall("ocall_malloc", 1, start+2, 30, e) // long ocall: Eq.1 silent
 	}
-	a := b.analyze(Options{})
-	findings := a.DetectReordering()
+	findings := detected(b.report(Options{}), isReorder)
 	if len(findings) != 1 {
 		t.Fatalf("findings = %v", findings)
 	}
@@ -395,8 +432,7 @@ func TestEquation2FlagsCallsNearParentEnd(t *testing.T) {
 		e := b.ecall("e", 1, start, 500, events.NoEvent)
 		b.ocall("ocall_flush", 1, start+465, 30, e) // ends 5µs before parent end
 	}
-	a := b.analyze(Options{})
-	findings := a.DetectReordering()
+	findings := detected(b.report(Options{}), isReorder)
 	if len(findings) != 1 || !strings.Contains(findings[0].Evidence, "last") {
 		t.Fatalf("findings = %+v", findings)
 	}
@@ -409,8 +445,7 @@ func TestEquation2SilentForMidCalls(t *testing.T) {
 		e := b.ecall("e", 1, start, 500, events.NoEvent)
 		b.ocall("ocall_mid", 1, start+250, 30, e)
 	}
-	a := b.analyze(Options{})
-	if fs := a.DetectReordering(); len(fs) != 0 {
+	if fs := detected(b.report(Options{}), isReorder); len(fs) != 0 {
 		t.Fatalf("mid-call ocall flagged: %+v", fs)
 	}
 }
@@ -428,16 +463,16 @@ func TestEquation3FlagsMergeablePairs(t *testing.T) {
 		b.ocall("lseek", 1, lseek, 40, e)
 		b.ocall("write", 1, lseek+40.5, 170, e) // 0.5µs gap
 	}
-	a := b.analyze(Options{})
+	merges := detected(b.report(Options{}), isMerge)
 	var merge *Finding
-	for _, f := range a.DetectMerging() {
+	for _, f := range merges {
 		if f.Problem == ProblemSDSC && f.Call == "write" && f.Partner == "lseek" {
 			f := f
 			merge = &f
 		}
 	}
 	if merge == nil {
-		t.Fatalf("lseek+write merge not detected: %+v", a.DetectMerging())
+		t.Fatalf("lseek+write merge not detected: %+v", merges)
 	}
 	if merge.Solutions[0] != SolutionMerge {
 		t.Fatal("merge not the primary solution")
@@ -453,16 +488,16 @@ func TestEquation3FlagsBatchableRepeats(t *testing.T) {
 		b.ecall("bn_sub", 1, start, 3, events.NoEvent)
 		b.ecall("bn_sub", 1, start+3.2, 3, events.NoEvent)
 	}
-	a := b.analyze(Options{})
+	merges := detected(b.report(Options{}), isMerge)
 	var batch *Finding
-	for _, f := range a.DetectMerging() {
+	for _, f := range merges {
 		if f.Problem == ProblemSISC && f.Call == "bn_sub" {
 			f := f
 			batch = &f
 		}
 	}
 	if batch == nil {
-		t.Fatalf("self-batching not detected: %+v", a.DetectMerging())
+		t.Fatalf("self-batching not detected: %+v", merges)
 	}
 	if batch.Solutions[0] != SolutionBatch {
 		t.Fatal("batch not the primary solution")
@@ -477,8 +512,7 @@ func TestEquation3SilentForDistantCalls(t *testing.T) {
 		b.ocall("a", 1, start+100, 40, e)
 		b.ocall("b", 1, start+2000, 40, e) // ~1.9ms gap
 	}
-	a := b.analyze(Options{})
-	if fs := a.DetectMerging(); len(fs) != 0 {
+	if fs := detected(b.report(Options{}), isMerge); len(fs) != 0 {
 		t.Fatalf("distant calls flagged for merging: %+v", fs)
 	}
 }
@@ -496,8 +530,8 @@ func TestDetectSSC(t *testing.T) {
 			Thread: 1, Targets: []sgx.ThreadID{2}, Time: b.cyc(start), Call: oid,
 		})
 	}
-	a := b.analyze(Options{})
-	findings := a.DetectSSC()
+	r := b.report(Options{})
+	findings := detected(r, isSSC)
 	if len(findings) != 1 || findings[0].Problem != ProblemSSC {
 		t.Fatalf("findings = %+v", findings)
 	}
@@ -506,7 +540,7 @@ func TestDetectSSC(t *testing.T) {
 		t.Fatalf("SSC solutions = %v", sols)
 	}
 	// Wake graph: thread 1 woke thread 2 twelve times.
-	wg := a.WakeGraph()
+	wg := r.WakeGraph
 	if len(wg) != 1 || wg[0].From != 1 || wg[0].To != 2 || wg[0].Count != 12 {
 		t.Fatalf("wake graph = %+v", wg)
 	}
@@ -520,8 +554,7 @@ func TestDetectSSCBelowThresholdSilent(t *testing.T) {
 		ID: b.trace.NextID(), Kind: events.SyncWake, Thread: 1,
 		Targets: []sgx.ThreadID{2}, Time: b.cyc(10), Call: oid,
 	})
-	a := b.analyze(Options{})
-	if fs := a.DetectSSC(); len(fs) != 0 {
+	if fs := detected(b.report(Options{}), isSSC); len(fs) != 0 {
 		t.Fatalf("SSC fired below threshold: %+v", fs)
 	}
 }
@@ -540,12 +573,12 @@ func TestDetectPaging(t *testing.T) {
 			Vaddr: uint64(0x1000 * (i + 1)), PageKind: "heap", Time: b.cyc(float64(10 + i)),
 		})
 	}
-	a := b.analyze(Options{})
-	findings := a.DetectPaging()
+	r := b.report(Options{})
+	findings := detected(r, isPaging)
 	if len(findings) != 1 || findings[0].Problem != ProblemPaging {
 		t.Fatalf("findings = %+v", findings)
 	}
-	sum := a.PagingSummary()
+	sum := r.Paging
 	if sum.PageIns != 3 || sum.PageOuts != 2 {
 		t.Fatalf("paging summary = %+v", sum)
 	}
@@ -564,10 +597,8 @@ func TestPrivateEcallCandidates(t *testing.T) {
 	e := b.ecall("entry", 1, 0, 1000, events.NoEvent)
 	o := b.ocall("ocall_cb", 1, 10, 500, e)
 	b.ecall("ecall_nested", 1, 20, 10, o)
-	a := b.analyze(Options{})
-
 	var private *SecurityHint
-	for _, h := range a.SecurityHints() {
+	for _, h := range b.report(Options{}).Security {
 		if h.Kind == HintMakePrivate {
 			h := h
 			private = &h
@@ -600,10 +631,8 @@ func TestShrinkAllowWithEDL(t *testing.T) {
 	e := b.ecall("entry", 1, 0, 1000, events.NoEvent)
 	o := b.ocall("gate", 1, 10, 500, e)
 	b.ecall("used", 1, 20, 10, o)
-	a := b.analyze(Options{Interface: iface})
-
 	var shrink *SecurityHint
-	for _, h := range a.SecurityHints() {
+	for _, h := range b.report(Options{Interface: iface}).Security {
 		if h.Kind == HintShrinkAllow {
 			h := h
 			shrink = &h
@@ -622,10 +651,8 @@ func TestMinimalAllowWithoutEDL(t *testing.T) {
 	e := b.ecall("entry", 1, 0, 1000, events.NoEvent)
 	o := b.ocall("gate", 1, 10, 500, e)
 	b.ecall("nested", 1, 20, 10, o)
-	a := b.analyze(Options{})
-
 	var minimal *SecurityHint
-	for _, h := range a.SecurityHints() {
+	for _, h := range b.report(Options{}).Security {
 		if h.Kind == HintMinimalAllow {
 			h := h
 			minimal = &h
@@ -646,9 +673,8 @@ func TestUserCheckHints(t *testing.T) {
 	}
 	b := newBuilder(t)
 	b.ecall("e", 1, 0, 10, events.NoEvent)
-	a := b.analyze(Options{Interface: iface})
 	var uc *SecurityHint
-	for _, h := range a.SecurityHints() {
+	for _, h := range b.report(Options{Interface: iface}).Security {
 		if h.Kind == HintUserCheck {
 			h := h
 			uc = &h
@@ -674,8 +700,7 @@ func TestAlreadyPrivateEcallNotSuggested(t *testing.T) {
 	e := b.ecall("entry", 1, 0, 1000, events.NoEvent)
 	o := b.ocall("gate", 1, 10, 500, e)
 	b.ecall("nested", 1, 20, 10, o)
-	a := b.analyze(Options{Interface: iface})
-	for _, h := range a.SecurityHints() {
+	for _, h := range b.report(Options{Interface: iface}).Security {
 		if h.Kind == HintMakePrivate && h.Call == "nested" {
 			t.Fatal("already-private ecall suggested as private candidate")
 		}
@@ -691,8 +716,7 @@ func TestCallGraphShapeAndDOT(t *testing.T) {
 		e := b.ecall("SSL_read", 1, start, 100, events.NoEvent)
 		b.ocall("ocall_read", 1, start+10, 20, e)
 	}
-	a := b.analyze(Options{})
-	g := a.CallGraph()
+	g := b.report(Options{}).Graph
 
 	n, ok := g.Node("SSL_read")
 	if !ok || n.Kind != events.KindEcall || n.Count != 3 {
@@ -761,8 +785,7 @@ func TestReportRender(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		b.ecall("tiny", 1, float64(i*10), 0.4, events.NoEvent)
 	}
-	a := b.analyze(Options{})
-	r := a.Analyze()
+	r := b.report(Options{})
 	if !r.HasProblem(ProblemSISC) {
 		t.Fatal("expected a SISC finding")
 	}
@@ -786,7 +809,7 @@ func TestReportRender(t *testing.T) {
 func TestReportNoFindingsOnQuietTrace(t *testing.T) {
 	b := newBuilder(t)
 	b.ecall("fine", 1, 0, 1000, events.NoEvent)
-	r := b.analyze(Options{}).Analyze()
+	r := b.report(Options{})
 	if len(r.Findings) != 0 {
 		t.Fatalf("quiet trace produced findings: %+v", r.Findings)
 	}

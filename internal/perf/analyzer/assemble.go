@@ -66,10 +66,10 @@ func FoldSwitchless(seq ChunkSeq[events.SwitchlessEvent]) (map[string]*Switchles
 }
 
 // AssembleReport renders the merged fold delta, the sync prescan and
-// the switchless summary into the full Report, running the identical
+// the switchless summary into the full Report through the shared
 // kernels (MovingFinding, ReorderFindings, MergeFindings, SSCFindings,
-// PagingFindings, WakeEdges, SortFindings, SortStats) the resident
-// pipeline runs over the same aggregates.
+// PagingFindings, WakeEdges, SortFindings, SortStats) the live engine
+// runs over the same aggregates.
 func AssembleReport(workload string, cfg *FoldConfig, delta *FoldDelta, pre *SyncPrescan, sw SwitchlessStats, iface *edl.Interface) *Report {
 	w := cfg.Weights
 	r := &Report{Workload: workload, Switchless: sw}
@@ -149,8 +149,7 @@ func AssembleReport(workload string, cfg *FoldConfig, delta *FoldDelta, pre *Syn
 	r.Findings = append(r.Findings, PagingFindings(r.Paging, w)...)
 	SortFindings(r.Findings)
 
-	// Security hints, in the resident order: make-private, allow-list,
-	// user_check.
+	// Security hints, in order: make-private, allow-list, user_check.
 	for _, n := range names {
 		na := delta.Names[n]
 		if na.Kind != events.KindEcall {

@@ -1,29 +1,41 @@
 package analyzer
 
-// The streaming fold: the analyser's per-table scans re-expressed as a
-// single merge sweep over time-ordered ecall/ocall/paging chunks with
-// carry state bounded by O(open calls + threads), independent of trace
-// length. The sweep feeds the same aggregate shapes the resident
-// detectors use (ReorderAgg, MergeAgg, MergePair, graph edge counts,
-// per-name duration histograms), so AssembleReport renders a Report
-// that is reflect.DeepEqual to the resident pipeline's.
+// The streaming fold: the analyser's one engine. Every report — Analyze
+// over a resident trace, AnalyzeStream over a saved file, serve's
+// windowed reports — is a single merge sweep over time-ordered
+// ecall/ocall/paging chunks with carry state bounded by O(open calls +
+// threads), independent of trace length. The sweep feeds per-name and
+// per-pair aggregates (ReorderAgg, MergeAgg, MergePair, graph edge
+// counts, per-name duration histograms), which AssembleReport renders
+// into the Report.
 //
 // Preconditions. The fold requires the stream-sorted layout
-// events.StreamSort produces — ecalls and ocalls each globally sorted
-// by (Start, ID), paging by (Time, ID) — and verifies it as it sweeps,
-// returning ErrUnsorted otherwise. Direct-parent resolution assumes
-// proper nesting: a call's direct parent spans the call, so the parent
-// is still open when the child starts. Traces whose Parent links break
-// that (a parent that ended before its child started) resolve fewer
-// direct parents than the resident analyser's global ID index would.
+// events.StreamSort produces — ecalls and ocalls each sorted by (Start,
+// ID), paging by (Time, ID) — and verifies it as it sweeps, returning
+// ErrUnsorted otherwise. Analyze sorts a private copy when a resident
+// trace is not in that layout.
+//
+// The parent rule. Calls are visited in (Start, ID) order, ecalls
+// before ocalls on ties. A call is open from its visit until a later
+// visited call starts after its End. Then:
+//   - a Parent link counts only while the parent is open at the child's
+//     start (the parent was visited first and has End >= the child's
+//     Start); otherwise the child has no direct parent;
+//   - indirect parents chain successive calls of one (thread, kind,
+//     Parent) group, and a group under parent P starts afresh once P
+//     closes — a call visited before P closed never becomes the
+//     indirect parent of one visited after.
+//
+// Properly nested traces, which the SDK records, satisfy both trivially.
 //
 // Carry bounds. The open-call map and per-thread maxEnd are O(threads)
 // for nested traces. Indirect-parent group slots are evicted when their
 // parent call closes; only top-level groups (one per thread × kind) and
-// groups under parents outside the enclave filter persist for the whole
-// sweep.
+// groups under parents that are never open (outside the enclave filter,
+// dangling, or already closed) persist for the whole sweep.
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"hash/fnv"
@@ -36,8 +48,8 @@ import (
 )
 
 // ErrUnsorted reports that a streamed table is not in the stream-sorted
-// layout (events.StreamSort) the fold requires. Callers fall back to
-// resident analysis.
+// layout (events.StreamSort) the fold requires. Sort the trace (or let
+// Analyze sort a private copy) and fold again.
 var ErrUnsorted = errors.New("analyzer: trace tables are not stream-sorted")
 
 // ChunkSeq supplies one table's rows chunk-by-chunk with random access,
@@ -77,6 +89,9 @@ type callKey struct {
 	id    events.EventID
 }
 
+func callKeyOf(e *events.CallEvent) callKey     { return callKey{e.Start, e.ID} }
+func pagingKeyOf(p *events.PagingEvent) callKey { return callKey{p.Time, p.ID} }
+
 func (k callKey) less(o callKey) bool {
 	if k.start != o.start {
 		return k.start < o.start
@@ -89,9 +104,8 @@ type openCall struct {
 	start, end vtime.Cycles
 }
 
-// foldGroup mirrors the resident indirect-parent group key: successive
-// calls of one (thread, kind, direct parent) group link as indirect
-// parent and child.
+// foldGroup is the indirect-parent group key (Fig. 4): successive calls
+// of one (thread, kind, Parent) group link as indirect parent and child.
 type foldGroup struct {
 	thread int64
 	kind   events.CallKind
@@ -99,6 +113,10 @@ type foldGroup struct {
 }
 
 type groupPrev struct {
+	// id identifies the previous call for the per-call index
+	// (Analyzer.IndirectParentOf); no delta reads it, so Hash leaves it
+	// out.
+	id   events.EventID
 	name string
 	end  vtime.Cycles
 }
@@ -113,7 +131,12 @@ type FoldCarry struct {
 	lastCall, lastPage callKey
 	seenCall, seenPage bool
 
-	open     map[events.EventID]openCall
+	open map[events.EventID]openCall
+	// minEnd is a lower bound on the earliest End in open, exact after
+	// every eviction scan (meaningless while open is empty). It is
+	// derived state: evict returns early while no open call can have
+	// closed, and Hash leaves it out.
+	minEnd   vtime.Cycles
 	groups   map[foldGroup]groupPrev
 	groupsOf map[events.EventID][]foldGroup
 	maxEnd   map[sgx.ThreadID]vtime.Cycles
@@ -136,6 +159,7 @@ func (c *FoldCarry) Clone() *FoldCarry {
 		ePos: c.ePos, oPos: c.oPos, pPos: c.pPos,
 		lastCall: c.lastCall, lastPage: c.lastPage,
 		seenCall: c.seenCall, seenPage: c.seenPage,
+		minEnd:   c.minEnd,
 		open:     make(map[events.EventID]openCall, len(c.open)),
 		groups:   make(map[foldGroup]groupPrev, len(c.groups)),
 		groupsOf: make(map[events.EventID][]foldGroup, len(c.groupsOf)),
@@ -241,9 +265,16 @@ func boolInt(b bool) int {
 }
 
 // evict drops open calls that ended before pos, and with each the group
-// slots keyed under it: a closed parent can have no further children
-// under proper nesting, so the slots are dead.
+// slots keyed under it: a closed parent takes no further children (the
+// parent rule), so the slots are dead. The minEnd watermark skips the
+// scan while no open call has ended before pos.
+//
+//sgxperf:hotpath
 func (c *FoldCarry) evict(pos vtime.Cycles) {
+	if len(c.open) == 0 || pos <= c.minEnd {
+		return
+	}
+	first := true
 	for id, oc := range c.open {
 		if oc.end < pos {
 			delete(c.open, id)
@@ -251,8 +282,42 @@ func (c *FoldCarry) evict(pos vtime.Cycles) {
 				delete(c.groups, gk)
 			}
 			delete(c.groupsOf, id)
+			continue
+		}
+		if first || oc.end < c.minEnd {
+			c.minEnd = oc.end
+			first = false
 		}
 	}
+}
+
+// admit applies the parent rule to one in-filter call visited in fold
+// order: it evicts the calls closed before the call starts, resolves the
+// call's direct parent (when open) and its indirect parent (the previous
+// call of its group, when still live), and enters the call into the
+// open set, its group slot and its thread's latest end.
+//
+//sgxperf:hotpath
+func (c *FoldCarry) admit(call *events.CallEvent) (parent openCall, direct bool, prev groupPrev, indirect bool) {
+	c.evict(call.Start)
+	if call.Parent != events.NoEvent {
+		parent, direct = c.open[call.Parent]
+	}
+	gk := foldGroup{thread: int64(call.Thread), kind: call.Kind, parent: call.Parent}
+	prev, indirect = c.groups[gk]
+	if !indirect && call.Parent != events.NoEvent {
+		c.groupsOf[call.Parent] = append(c.groupsOf[call.Parent], gk)
+	}
+	c.groups[gk] = groupPrev{id: call.ID, name: call.Name, end: call.End}
+
+	if len(c.open) == 0 || call.End < c.minEnd {
+		c.minEnd = call.End
+	}
+	c.open[call.ID] = openCall{name: call.Name, start: call.Start, end: call.End}
+	if me, ok := c.maxEnd[call.Thread]; !ok || call.End > me {
+		c.maxEnd[call.Thread] = call.End
+	}
+	return parent, direct, prev, indirect
 }
 
 // GraphKey identifies one call-graph edge: direct (solid) or indirect
@@ -417,8 +482,10 @@ func (d *FoldDelta) MergeFrom(o *FoldDelta) {
 }
 
 // seqCursor walks one ChunkSeq from a resume position, holding at most
-// one chunk resident.
+// one chunk resident. It checks ctx before loading each chunk, so a
+// cancelled fold stops between chunks.
 type seqCursor[T any] struct {
+	ctx        context.Context
 	seq        ChunkSeq[T]
 	n          int
 	chunk, row int
@@ -426,14 +493,17 @@ type seqCursor[T any] struct {
 	loaded     bool
 }
 
-func newSeqCursor[T any](seq ChunkSeq[T], pos foldPos) *seqCursor[T] {
-	return &seqCursor[T]{seq: seq, n: seq.NumChunks(), chunk: pos.chunk, row: pos.row}
+func newSeqCursor[T any](ctx context.Context, seq ChunkSeq[T], pos foldPos) *seqCursor[T] {
+	return &seqCursor[T]{ctx: ctx, seq: seq, n: seq.NumChunks(), chunk: pos.chunk, row: pos.row}
 }
 
 // head returns the current row without consuming it, or nil at EOF.
 func (c *seqCursor[T]) head() (*T, error) {
 	for c.chunk < c.n {
 		if !c.loaded {
+			if err := c.ctx.Err(); err != nil {
+				return nil, err
+			}
 			buf, err := c.seq.Chunk(c.chunk)
 			if err != nil {
 				return nil, err
@@ -455,6 +525,27 @@ func (c *seqCursor[T]) head() (*T, error) {
 func (c *seqCursor[T]) pop() { c.row++ }
 
 func (c *seqCursor[T]) pos() foldPos { return foldPos{c.chunk, c.row} }
+
+// nextCall returns the earlier of the two call cursors' heads in fold
+// order — (Start, ID), the ecall on ties — and the cursor holding it,
+// or a nil call once both are exhausted. The caller pops the cursor.
+func nextCall(ec, oc *seqCursor[events.CallEvent]) (*events.CallEvent, *seqCursor[events.CallEvent], error) {
+	e, err := ec.head()
+	if err != nil {
+		return nil, nil, err
+	}
+	o, err := oc.head()
+	if err != nil {
+		return nil, nil, err
+	}
+	switch {
+	case e != nil && (o == nil || !callKeyOf(o).less(callKeyOf(e))):
+		return e, ec, nil
+	case o != nil:
+		return o, oc, nil
+	}
+	return nil, nil, nil
+}
 
 // WindowBound returns the exclusive time bound of window k: the
 // earliest first-row Start of the two call tables' chunk k+1. Events at
@@ -489,37 +580,23 @@ func WindowBound(in FoldInput, k int) (vtime.Cycles, bool, error) {
 // consumed events): open calls ending before the bound are evicted, so
 // its Hash depends only on semantic content.
 func FoldWindow(cfg *FoldConfig, carryIn *FoldCarry, in FoldInput, bound vtime.Cycles, final bool) (*FoldDelta, *FoldCarry, error) {
+	return foldWindow(context.Background(), cfg, carryIn, in, bound, final)
+}
+
+// foldWindow is FoldWindow with cancellation checked before each chunk
+// is loaded; a cancelled fold returns ctx.Err().
+func foldWindow(ctx context.Context, cfg *FoldConfig, carryIn *FoldCarry, in FoldInput, bound vtime.Cycles, final bool) (*FoldDelta, *FoldCarry, error) {
 	carry := carryIn.Clone()
 	delta := NewFoldDelta()
 
-	ec := newSeqCursor[events.CallEvent](in.Ecalls, carry.ePos)
-	oc := newSeqCursor[events.CallEvent](in.Ocalls, carry.oPos)
-	pc := newSeqCursor[events.PagingEvent](in.Paging, carry.pPos)
+	ec := newSeqCursor[events.CallEvent](ctx, in.Ecalls, carry.ePos)
+	oc := newSeqCursor[events.CallEvent](ctx, in.Ocalls, carry.oPos)
+	pc := newSeqCursor[events.PagingEvent](ctx, in.Paging, carry.pPos)
 
 	for {
-		e, err := ec.head()
+		call, from, err := nextCall(ec, oc)
 		if err != nil {
 			return nil, nil, err
-		}
-		o, err := oc.head()
-		if err != nil {
-			return nil, nil, err
-		}
-		// Pick the earlier call head by (Start, ID) — the resident
-		// prepare() sort order.
-		var call *events.CallEvent
-		var fromE bool
-		switch {
-		case e != nil && o != nil:
-			if (callKey{e.Start, e.ID}).less(callKey{o.Start, o.ID}) {
-				call, fromE = e, true
-			} else {
-				call, fromE = o, false
-			}
-		case e != nil:
-			call, fromE = e, true
-		case o != nil:
-			call, fromE = o, false
 		}
 		if call != nil && !final && call.Start >= bound {
 			call = nil
@@ -534,10 +611,10 @@ func FoldWindow(cfg *FoldConfig, carryIn *FoldCarry, in FoldInput, bound vtime.C
 		}
 
 		// Paging events interleave after calls sharing their timestamp:
-		// the resident DuringCalls test is Start <= Time, inclusive.
+		// the DuringCalls test is Start <= Time <= End, inclusive.
 		if p != nil && (call == nil || p.Time < call.Start) {
-			k := callKey{p.Time, p.ID}
-			if carry.seenPage && !carry.lastPage.less(k) {
+			k := pagingKeyOf(p)
+			if carry.seenPage && k.less(carry.lastPage) {
 				return nil, nil, ErrUnsorted
 			}
 			carry.lastPage, carry.seenPage = k, true
@@ -557,27 +634,18 @@ func FoldWindow(cfg *FoldConfig, carryIn *FoldCarry, in FoldInput, bound vtime.C
 			break
 		}
 
-		k := callKey{call.Start, call.ID}
-		if carry.seenCall && !carry.lastCall.less(k) {
+		k := callKeyOf(call)
+		if carry.seenCall && k.less(carry.lastCall) {
 			return nil, nil, ErrUnsorted
 		}
 		carry.lastCall, carry.seenCall = k, true
 		if cfg.Enclave != 0 && call.Enclave != cfg.Enclave {
-			if fromE {
-				ec.pop()
-			} else {
-				oc.pop()
-			}
+			from.pop()
 			continue
 		}
 
-		carry.evict(call.Start)
 		foldCall(cfg, carry, delta, call)
-		if fromE {
-			ec.pop()
-		} else {
-			oc.pop()
-		}
+		from.pop()
 	}
 
 	if !final {
@@ -587,17 +655,22 @@ func FoldWindow(cfg *FoldConfig, carryIn *FoldCarry, in FoldInput, bound vtime.C
 	return delta, carry, nil
 }
 
+// adjustedDuration is a call's execution time: ecalls have the
+// transition round trip subtracted (§4.1.2, clamped at zero); ocall
+// timestamps already exclude transitions.
+func adjustedDuration(freq vtime.Frequency, transition vtime.Cycles, call *events.CallEvent) time.Duration {
+	if call.Kind != events.KindEcall {
+		return freq.Duration(call.Duration())
+	}
+	if d := freq.Duration(call.Duration() - transition); d > 0 {
+		return d
+	}
+	return 0
+}
+
 // foldCall folds one in-filter call into the delta and carry.
 func foldCall(cfg *FoldConfig, carry *FoldCarry, delta *FoldDelta, call *events.CallEvent) {
-	var adjusted time.Duration
-	if call.Kind == events.KindEcall {
-		adjusted = cfg.Freq.Duration(call.Duration() - cfg.Transition)
-		if adjusted < 0 {
-			adjusted = 0
-		}
-	} else {
-		adjusted = cfg.Freq.Duration(call.Duration())
-	}
+	adjusted := adjustedDuration(cfg.Freq, cfg.Transition, call)
 
 	na := delta.name(call)
 	na.Count++
@@ -608,46 +681,31 @@ func foldCall(cfg *FoldConfig, carry *FoldCarry, delta *FoldDelta, call *events.
 		delta.ShortWakes += n
 	}
 
-	var parentName string
-	hasDirect := false
-	if call.Parent != events.NoEvent {
-		if p, ok := carry.open[call.Parent]; ok {
-			hasDirect = true
-			parentName = p.name
-			offStart := cfg.Freq.Duration(call.Start - p.start)
-			offEnd := cfg.Freq.Duration(p.end - call.End)
-			delta.reorder(call.Name).Add(offStart, offEnd)
-			delta.Edges[GraphKey{From: p.name, To: call.Name}]++
-			if call.Kind == events.KindEcall {
-				delta.observed(p.name)[call.Name] = true
-			}
+	p, direct, prev, indirect := carry.admit(call)
+	if direct {
+		offStart := cfg.Freq.Duration(call.Start - p.start)
+		offEnd := cfg.Freq.Duration(p.end - call.End)
+		delta.reorder(call.Name).Add(offStart, offEnd)
+		delta.Edges[GraphKey{From: p.name, To: call.Name}]++
+		if call.Kind == events.KindEcall {
+			delta.observed(p.name)[call.Name] = true
 		}
 	}
-	// Tracked for every instance regardless of kind: the resident
-	// make-private scan walks all of a name's instances and gates on the
-	// name's first-occurrence kind only at render time.
+	// Tracked for every instance regardless of kind; the make-private
+	// hint gates on the name's first-occurrence kind at render time.
 	pa := delta.private(call.Name)
 	if call.Parent == events.NoEvent {
 		pa.TopLevel = true
-	} else if hasDirect {
-		pa.Parents[parentName] = true
+	} else if direct {
+		pa.Parents[p.name] = true
 	}
 
-	gk := foldGroup{thread: int64(call.Thread), kind: call.Kind, parent: call.Parent}
-	if prev, ok := carry.groups[gk]; ok {
+	if indirect {
 		gap := cfg.Freq.Duration(call.Start - prev.end)
 		if gap < 0 {
 			gap = 0
 		}
 		delta.merge(MergePair{Parent: prev.name, Child: call.Name}).Add(gap)
 		delta.Edges[GraphKey{From: prev.name, To: call.Name, Indirect: true}]++
-	} else if call.Parent != events.NoEvent {
-		carry.groupsOf[call.Parent] = append(carry.groupsOf[call.Parent], gk)
-	}
-	carry.groups[gk] = groupPrev{name: call.Name, end: call.End}
-
-	carry.open[call.ID] = openCall{name: call.Name, start: call.Start, end: call.End}
-	if call.End > carry.maxEnd[call.Thread] {
-		carry.maxEnd[call.Thread] = call.End
 	}
 }

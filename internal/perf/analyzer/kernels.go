@@ -1,8 +1,8 @@
 package analyzer
 
 // The stats and detector kernels: pure functions from accumulated
-// aggregates to CallStats and Findings. The post-mortem analyser builds
-// the aggregates by scanning a finished trace; the live streaming engine
+// aggregates to CallStats and Findings. The fold builds the aggregates
+// in one sweep over a trace; the live streaming engine
 // (internal/perf/live) maintains the same aggregates incrementally as
 // events arrive. Both call these kernels, which is what makes the live
 // engine's equivalence guarantee hold: after a workload quiesces, a live
@@ -411,9 +411,9 @@ func WakeEdges(agg map[[2]int64]int) []WakeEdge {
 // SortFindings orders findings for a report: by problem class, then
 // descending score, then by call name, partner, kind and evidence text.
 // Every comparison key is part of the order, so the result is one total
-// order that does not depend on how (or in what order, or on how many
-// goroutines) the findings were produced — the property the parallel
-// pipeline's merge relies on.
+// order that does not depend on how (or in what order) the findings
+// were produced — the property the live and hybrid-lint re-rankings
+// rely on.
 func SortFindings(fs []Finding) {
 	sort.SliceStable(fs, func(i, j int) bool {
 		if fs[i].Problem != fs[j].Problem {

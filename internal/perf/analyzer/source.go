@@ -1,6 +1,7 @@
 package analyzer
 
 import (
+	"context"
 	"fmt"
 
 	"sgxperf/internal/edl"
@@ -61,7 +62,8 @@ func CursorSeq[T any](c *evstore.StreamCursor[T]) ChunkSeq[T] { return cursorSeq
 
 // NewTraceSource feeds the fold from a resident trace's tables. The
 // order-sensitive tables must be stream-sorted (events.StreamSort);
-// otherwise AnalyzeStream returns ErrUnsorted.
+// otherwise AnalyzeStream returns ErrUnsorted. Analyzer.Analyze accepts
+// any order.
 func NewTraceSource(t *events.Trace) *StreamSource {
 	var enclaves []events.EnclaveMeta
 	t.Enclaves.Scan(func(_ int, m events.EnclaveMeta) bool {
@@ -127,8 +129,7 @@ func (src *StreamSource) Interface() *edl.Interface {
 	return interfaceFromMetas(src.Enclaves)
 }
 
-// interfaceFromMetas recovers the first parseable embedded EDL, the
-// streaming counterpart of interfaceFromTrace.
+// interfaceFromMetas recovers the first parseable embedded EDL.
 func interfaceFromMetas(metas []events.EnclaveMeta) *edl.Interface {
 	for _, meta := range metas {
 		if meta.EDL == "" {
@@ -159,7 +160,15 @@ func AnalyzeStream(src *StreamSource, opts Options) (*Report, error) {
 	if iface == nil {
 		iface = interfaceFromMetas(src.Enclaves)
 	}
+	return analyzeSource(context.Background(), src, opts, iface)
+}
 
+// analyzeSource is the one analysis pipeline: PrescanSyncs,
+// FoldSwitchless, one FoldWindow over the whole source, AssembleReport.
+// opts.Weights must be set. Cancellation is checked between stages and
+// before every chunk of the sweep; a cancelled run returns ctx.Err()
+// and no report.
+func analyzeSource(ctx context.Context, src *StreamSource, opts Options, iface *edl.Interface) (*Report, error) {
 	pre, err := PrescanSyncs(src.Syncs)
 	if err != nil {
 		return nil, err
@@ -168,7 +177,9 @@ func AnalyzeStream(src *StreamSource, opts Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	cfg := &FoldConfig{
 		Weights:    opts.Weights,
 		Freq:       src.Freq,
@@ -176,11 +187,14 @@ func AnalyzeStream(src *StreamSource, opts Options) (*Report, error) {
 		Enclave:    opts.Enclave,
 		SyncRefs:   pre.Refs,
 	}
-	delta, _, err := FoldWindow(cfg, NewFoldCarry(), FoldInput{
+	delta, _, err := foldWindow(ctx, cfg, NewFoldCarry(), FoldInput{
 		Ecalls: src.Ecalls,
 		Ocalls: src.Ocalls,
 		Paging: src.Paging,
 	}, 0, true)
+	if err == nil {
+		err = ctx.Err()
+	}
 	if err != nil {
 		return nil, err
 	}

@@ -2,11 +2,10 @@ package analyzer
 
 import (
 	"math"
-	"sort"
+	"slices"
 	"time"
 
 	"sgxperf/internal/perf/events"
-	"sgxperf/internal/vtime"
 )
 
 // CallStats are the general statistics of §4.3.1 for one call, computed
@@ -34,34 +33,22 @@ type CallStats struct {
 	TotalAEX int
 }
 
-// Stats computes statistics for one call name, or ok=false if unseen. It
-// gathers the call's durations and hands off to the shared
-// StatsFromDurations kernel.
+// Stats returns the statistics for one call name, or ok=false if
+// unseen. It reads the memoised report.
 func (a *Analyzer) Stats(name string) (CallStats, bool) {
-	calls := a.callsNamed(name)
-	if len(calls) == 0 {
-		return CallStats{}, false
-	}
-	durs := make([]time.Duration, len(calls))
-	totalAEX := 0
-	for i, c := range calls {
-		durs[i] = c.adjusted
-		totalAEX += c.ev.AEXCount
-	}
-	return StatsFromDurations(name, calls[0].ev.Kind, durs, totalAEX)
-}
-
-// AllStats computes statistics for every call name, ordered by descending
-// count (the overview of §4.3.1).
-func (a *Analyzer) AllStats() []CallStats {
-	out := make([]CallStats, 0, len(a.perNames))
-	for _, n := range a.perNames {
-		if s, ok := a.Stats(n); ok {
-			out = append(out, s)
+	for _, s := range a.memo().Stats {
+		if s.Name == name {
+			return s, true
 		}
 	}
-	SortStats(out)
-	return out
+	return CallStats{}, false
+}
+
+// AllStats returns statistics for every call name, ordered by
+// descending count (the overview of §4.3.1). It reads the memoised
+// report.
+func (a *Analyzer) AllStats() []CallStats {
+	return slices.Clone(a.memo().Stats)
 }
 
 // percentile returns the p-quantile (0..1) of sorted durations using the
@@ -89,18 +76,14 @@ type HistogramBin struct {
 // Histogram buckets the call's execution times into bins equal-width bins
 // (the paper groups into 100, Fig. 7).
 func (a *Analyzer) Histogram(name string, bins int) []HistogramBin {
-	calls := a.callsNamed(name)
+	calls := a.calls().byName[name]
 	if len(calls) == 0 || bins <= 0 {
 		return nil
 	}
 	lo, hi := calls[0].adjusted, calls[0].adjusted
 	for _, c := range calls {
-		if c.adjusted < lo {
-			lo = c.adjusted
-		}
-		if c.adjusted > hi {
-			hi = c.adjusted
-		}
+		lo = min(lo, c.adjusted)
+		hi = max(hi, c.adjusted)
 	}
 	width := (hi - lo) / time.Duration(bins)
 	if width <= 0 {
@@ -130,23 +113,18 @@ type ScatterPoint struct {
 	Dur time.Duration
 }
 
-// Scatter returns the call's execution times over the course of the run.
+// Scatter returns the call's execution times over the course of the
+// run, in start order.
 func (a *Analyzer) Scatter(name string) []ScatterPoint {
-	calls := a.callsNamed(name)
+	idx := a.calls()
+	calls := idx.byName[name]
 	if len(calls) == 0 {
 		return nil
 	}
-	var t0 vtime.Cycles
-	if len(a.all) > 0 {
-		t0 = a.all[0].ev.Start
-	}
+	freq := a.trace.Frequency()
 	out := make([]ScatterPoint, len(calls))
 	for i, c := range calls {
-		out[i] = ScatterPoint{
-			T:   a.freq.Duration(c.ev.Start - t0),
-			Dur: c.adjusted,
-		}
+		out[i] = ScatterPoint{T: freq.Duration(c.start - idx.t0), Dur: c.adjusted}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].T < out[j].T })
 	return out
 }

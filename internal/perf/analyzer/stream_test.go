@@ -1,8 +1,9 @@
 package analyzer_test
 
-// The streaming-equivalence gate of the out-of-core pipeline: the fold
-// must reproduce the resident analyser's report bit-for-bit, from both
-// a resident trace's tables and a saved trace file read chunk-by-chunk.
+// The streaming-equivalence gate: the fold must reproduce the
+// brute-force oracle's report bit-for-bit through every way of feeding
+// it — Analyze over the resident trace, AnalyzeStream over a resident
+// trace's tables and over a saved trace file read chunk-by-chunk.
 
 import (
 	"errors"
@@ -15,7 +16,6 @@ import (
 	"sgxperf/internal/perf/analyzer"
 	"sgxperf/internal/perf/events"
 	"sgxperf/internal/sgx"
-	"sgxperf/internal/vtime"
 )
 
 const streamTestEDL = `
@@ -64,24 +64,14 @@ func TestAnalyzeStreamingMatchesResident(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			tr := streamTrace(t, 3000)
+			want := analyzer.OracleReport(tr, tc.opts)
 
-			serialOpts := tc.opts
-			serialOpts.Serial = true
-			a, err := analyzer.New(tr, serialOpts)
+			a, err := analyzer.New(tr, tc.opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := a.Analyze()
-
-			// Parallel resident agrees with serial (existing guarantee,
-			// re-checked here so the chain serial == parallel == stream
-			// holds on this trace).
-			ap, err := analyzer.New(tr, tc.opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := ap.Analyze(); !reflect.DeepEqual(got, want) {
-				t.Fatal("parallel resident report differs from serial reference")
+			if got := a.Analyze(); !reflect.DeepEqual(got, want) {
+				t.Fatal("Analyze differs from the oracle")
 			}
 
 			// Fold fed from the resident tables.
@@ -90,7 +80,7 @@ func TestAnalyzeStreamingMatchesResident(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("streaming (resident-fed) report differs from serial reference:\ngot  %+v\nwant %+v", got, want)
+				t.Fatalf("streaming (resident-fed) report differs from the oracle:\ngot  %+v\nwant %+v", got, want)
 			}
 
 			// Fold fed from a saved file, chunk by chunk.
@@ -112,7 +102,7 @@ func TestAnalyzeStreamingMatchesResident(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("streaming (file-fed) report differs from serial reference:\ngot  %+v\nwant %+v", got, want)
+				t.Fatalf("streaming (file-fed) report differs from the oracle:\ngot  %+v\nwant %+v", got, want)
 			}
 		})
 	}
@@ -153,18 +143,11 @@ func TestStreamContentKeyMatchesResident(t *testing.T) {
 	}
 }
 
-// TestFoldWindowedMatchesSinglePass drives FoldWindow window-by-window
-// with carry chaining — the serve daemon's access pattern — and checks
-// the merged deltas assemble to the same report as one final pass.
-func TestFoldWindowedMatchesSinglePass(t *testing.T) {
-	tr := streamTrace(t, 3000)
-	serial, err := analyzer.New(tr, analyzer.Options{Serial: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := serial.Analyze()
-
-	src := analyzer.NewTraceSource(tr)
+// foldWindowed drives FoldWindow window-by-window over src with carry
+// chaining — the serve daemon's access pattern — and assembles the
+// merged deltas. It reports how many windows it folded.
+func foldWindowed(t *testing.T, src *analyzer.StreamSource) (*analyzer.Report, int) {
+	t.Helper()
 	pre, err := analyzer.PrescanSyncs(src.Syncs)
 	if err != nil {
 		t.Fatal(err)
@@ -175,48 +158,103 @@ func TestFoldWindowedMatchesSinglePass(t *testing.T) {
 	}
 	cfg := &analyzer.FoldConfig{
 		Weights:    analyzer.DefaultWeights(),
-		Freq:       tr.Frequency(),
-		Transition: tr.TransitionCycles(),
+		Freq:       src.Freq,
+		Transition: src.Transition,
 		SyncRefs:   pre.Refs,
 	}
 	in := analyzer.FoldInput{Ecalls: src.Ecalls, Ocalls: src.Ocalls, Paging: src.Paging}
-
-	nE, nO := src.Ecalls.NumChunks(), src.Ocalls.NumChunks()
-	n := nE
-	if nO > n {
-		n = nO
-	}
-	if n < 2 {
-		t.Fatalf("want a multi-chunk trace, got %d ecall / %d ocall chunks", nE, nO)
-	}
 	carry := analyzer.NewFoldCarry()
 	total := analyzer.NewFoldDelta()
-	for k := 0; k < n; k++ {
-		final := k == n-1
-		var bound vtime.Cycles
-		if !final {
-			b, ok, err := analyzer.WindowBound(in, k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !ok {
-				final = true
-			}
-			bound = b
+	windows := 0
+	for k := 0; ; k++ {
+		bound, more, err := analyzer.WindowBound(in, k)
+		if err != nil {
+			t.Fatal(err)
 		}
-		delta, carryOut, err := analyzer.FoldWindow(cfg, carry, in, bound, final)
+		delta, carryOut, err := analyzer.FoldWindow(cfg, carry, in, bound, !more)
 		if err != nil {
 			t.Fatalf("window %d: %v", k, err)
 		}
 		total.MergeFrom(delta)
 		carry = carryOut
-		if final {
+		windows++
+		if !more {
 			break
 		}
 	}
-	got := analyzer.AssembleReport("analyze-bench", cfg, total, pre,
-		analyzer.SwitchlessStatsFrom(swAgg, tr.Frequency()), nil)
+	return analyzer.AssembleReport(src.Workload, cfg, total, pre,
+		analyzer.SwitchlessStatsFrom(swAgg, src.Freq), src.Interface()), windows
+}
+
+// TestFoldWindowedMatchesSinglePass checks the serve daemon's windowed
+// folding assembles to the same report as one final pass.
+func TestFoldWindowedMatchesSinglePass(t *testing.T) {
+	tr := streamTrace(t, 3000)
+	want := analyzer.OracleReport(tr, analyzer.Options{})
+	got, windows := foldWindowed(t, analyzer.NewTraceSource(tr))
+	if windows < 2 {
+		t.Fatalf("want a multi-window trace, got %d windows", windows)
+	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("windowed fold differs from serial reference:\ngot  %+v\nwant %+v", got, want)
+		t.Fatalf("windowed fold differs from the oracle:\ngot  %+v\nwant %+v", got, want)
+	}
+}
+
+// rechunked serves a table's rows in chunks of a chosen size: the same
+// events as stored at another evstore chunk size.
+type rechunked[T any] struct{ chunks [][]T }
+
+func rechunk[T any](t *testing.T, seq analyzer.ChunkSeq[T], size int) analyzer.ChunkSeq[T] {
+	t.Helper()
+	var rows []T
+	for i := 0; i < seq.NumChunks(); i++ {
+		c, err := seq.Chunk(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows = append(rows, c...)
+	}
+	var out rechunked[T]
+	for len(rows) > 0 {
+		n := min(size, len(rows))
+		out.chunks = append(out.chunks, rows[:n:n])
+		rows = rows[n:]
+	}
+	return out
+}
+
+func (r rechunked[T]) NumChunks() int           { return len(r.chunks) }
+func (r rechunked[T]) Chunk(i int) ([]T, error) { return r.chunks[i], nil }
+
+// TestAnalyzeChunkSizeInvariant: chunk boundaries are storage, not
+// semantics. The same events served at several chunk sizes — one fold
+// or one fold window per chunk — give the report Analyze gives over the
+// trace's own 1024-row chunks.
+func TestAnalyzeChunkSizeInvariant(t *testing.T) {
+	tr := streamTrace(t, 1500)
+	a, err := analyzer.New(tr, analyzer.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := a.Analyze()
+	for _, size := range []int{1, 7, 100, 4096} {
+		base := analyzer.NewTraceSource(tr)
+		src := *base
+		src.Ecalls = rechunk(t, base.Ecalls, size)
+		src.Ocalls = rechunk(t, base.Ocalls, size)
+		src.Paging = rechunk(t, base.Paging, size)
+		src.Syncs = rechunk(t, base.Syncs, size)
+		src.Switchless = rechunk(t, base.Switchless, size)
+		got, err := analyzer.AnalyzeStream(&src, analyzer.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("chunk size %d: one fold differs from Analyze", size)
+		}
+		got, windows := foldWindowed(t, &src)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("chunk size %d: %d fold windows differ from Analyze", size, windows)
+		}
 	}
 }

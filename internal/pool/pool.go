@@ -1,8 +1,8 @@
 // Package pool is the repository's shared bounded worker pool: one
 // GOMAXPROCS-sized concurrency budget for every CPU-bound fan-out — the
-// parallel analyser kernels, the evstore codec's chunk encode/decode, the
-// live snapshot's per-name statistics and the static-lint hybrid
-// re-ranking all draw from it. Sharing one budget keeps the process from
+// evstore codec's chunk encode/decode, the live snapshot's per-name
+// statistics, the static-lint hybrid re-ranking and the lint dataflow
+// passes all draw from it. Sharing one budget keeps the process from
 // oversubscribing the machine when several subsystems fan out at once
 // (a Session analysing while a trace is being saved, say).
 //

@@ -24,8 +24,8 @@ import (
 // carry-in.Hash() — so after an append every frozen window replays from
 // the cache and only the tail windows are folded again, for the
 // complete report: statistics, detectors, call graph, security hints.
-// Uploads that are not stream-sorted fall back to the monolithic
-// resident analysis; either way the response is byte-identical to the
+// Uploads that are not stream-sorted fall back to one fold over a
+// sorted copy (Analyze); either way the response is byte-identical to the
 // offline analyser's.
 //
 // Window keys exploit the store's append-only growth: a row, once

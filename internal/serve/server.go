@@ -213,8 +213,8 @@ type reportEntry struct {
 // reportArtifact returns the trace's full wire report, cached by
 // content key. Stream-sorted traces are computed through the windowed
 // fold (foldedReport), so even a cold content key after an append
-// refolds only the tail windows; unsorted uploads run the monolithic
-// resident analysis. Concurrency is optimistic: the key is computed
+// refolds only the tail windows; unsorted uploads run one fold over a
+// sorted copy (Analyze). Concurrency is optimistic: the key is computed
 // before the analysis and revalidated after; since the store is
 // append-only, an unchanged key proves the analysis saw exactly the
 // keyed content, and a changed one discards the run (nothing is cached)
@@ -259,8 +259,9 @@ func (s *Server) reportArtifact(ctx context.Context, e *traceEntry, enclave sgx.
 	}
 }
 
-// monolithicReport is the resident full analysis, for traces the
-// streaming fold cannot window (not stream-sorted).
+// monolithicReport is the full analysis in one fold, for traces the
+// report windows cannot cover (not stream-sorted): Analyze folds a
+// privately sorted copy.
 func (s *Server) monolithicReport(ctx context.Context, e *traceEntry, enclave sgx.EnclaveID) (*apiv1.Report, error) {
 	a, err := analyzer.New(e.trace, analyzer.Options{Enclave: enclave})
 	if err != nil {

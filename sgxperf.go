@@ -289,7 +289,7 @@ func NewWorkingSetEstimator(h *Host, enc *Enclave) *WorkingSetEstimator {
 	return workingset.New(h, enc)
 }
 
-// NewAnalyzer prepares an analyser over a trace.
+// NewAnalyzer returns an analyser over a trace.
 func NewAnalyzer(t *Trace, opts AnalyzerOptions) (*Analyzer, error) {
 	return analyzer.New(t, opts)
 }
@@ -304,7 +304,7 @@ func Analyze(t *Trace) (*Report, error) {
 }
 
 // AnalyzeWithContext is Analyze with explicit options and cooperative
-// cancellation: long analyses stop between kernels and pool partitions
+// cancellation: long analyses stop between the chunks the fold reads
 // once ctx is done and the call returns ctx.Err(). An uncancelled call
 // produces exactly the report of Analyze / Analyzer.Analyze with the
 // same options.

@@ -9,6 +9,8 @@ import (
 	"time"
 
 	"sgxperf"
+	"sgxperf/internal/perf/analyzer"
+	"sgxperf/internal/perf/events"
 )
 
 func TestPublicAPIQuickstart(t *testing.T) {
@@ -128,9 +130,12 @@ func TestSessionQuickstart(t *testing.T) {
 }
 
 // TestSessionAnalyzeParallelMatchesSerial records a workload through a
-// Session and checks the default (parallel) analysis equals the serial
-// reference pipeline — both via Session.AnalyzeWith and via a
-// NewAnalyzer built on the session's trace.
+// Session and checks that every way of analysing it gives one report:
+// Session.Analyze, a NewAnalyzer built on the session's trace, and the
+// streaming fold over the trace saved to a file. (The name dates from
+// the parallel and serial pipelines this test first held together; the
+// brute-force oracle check on a recorded session lives with the oracle,
+// in internal/perf/analyzer's TestRecordedSessionMatchesOracle.)
 func TestSessionAnalyzeParallelMatchesSerial(t *testing.T) {
 	s, err := sgxperf.NewSession(
 		sgxperf.WithEDL(`
@@ -175,24 +180,49 @@ func TestSessionAnalyzeParallelMatchesSerial(t *testing.T) {
 		}
 	}
 
-	parallel, err := s.Analyze()
+	report, err := s.Analyze()
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := s.AnalyzeWith(sgxperf.AnalyzerOptions{Serial: true})
+	a, err := sgxperf.NewAnalyzer(s.Logger.Trace(), sgxperf.AnalyzerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(serial, parallel) {
-		t.Fatal("Session parallel report differs from the serial reference")
+	if !reflect.DeepEqual(a.Analyze(), report) {
+		t.Fatal("standalone analyser differs from the Session report")
 	}
-	// Same equality through the standalone analyser on the session's trace.
-	a, err := sgxperf.NewAnalyzer(s.Logger.Trace(), sgxperf.AnalyzerOptions{Serial: true})
+
+	// The streaming fold over the saved trace, stream-sorted on a loaded
+	// copy so the session's own trace keeps its order.
+	dir := t.TempDir()
+	raw := filepath.Join(dir, "raw.evc")
+	if err := s.Logger.Trace().SaveFile(raw); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := sgxperf.LoadTrace(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(a.Analyze(), parallel) {
-		t.Fatal("standalone serial analyser differs from the Session report")
+	events.StreamSort(loaded)
+	sorted := filepath.Join(dir, "sorted.evc")
+	if err := loaded.SaveFile(sorted); err != nil {
+		t.Fatal(err)
+	}
+	st, err := events.OpenStreamTrace(sorted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	src, err := analyzer.NewStreamTraceSource(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	streamed, err := analyzer.AnalyzeStream(src, sgxperf.AnalyzerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(streamed, report) {
+		t.Fatal("streaming fold over the saved trace differs from the Session report")
 	}
 }
 
