@@ -51,23 +51,27 @@ verify: lint
 	$(GO) test -race $(RACE_PKGS)
 
 # Short fuzz smoke over the boundaries that accept untrusted input: the
-# columnar trace codec round-trip, the EDL parser, and the analyser over
-# malformed event graphs (checked against the brute-force oracle).
-# FUZZTIME bounds each target (CI uses the default).
+# columnar trace codec round-trip, trace files through the full event
+# schema (resident load and stream cursors), the EDL parser, and the
+# analyser over malformed event graphs (checked against the brute-force
+# oracle). FUZZTIME bounds each target (CI uses the default).
 FUZZTIME ?= 20s
 fuzz:
 	$(GO) test -fuzz=FuzzCodecRoundTrip -fuzztime=$(FUZZTIME) ./internal/evstore
+	$(GO) test -run='^$$' -fuzz=FuzzTraceLoad -fuzztime=$(FUZZTIME) ./internal/perf/events
 	$(GO) test -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/edl
 	$(GO) test -run='^$$' -fuzz=FuzzAnalyze -fuzztime=$(FUZZTIME) ./internal/perf/analyzer
 
 # Re-measure logger recording throughput, chaining the previous results
-# in BENCH_results.json as the baseline for the speedup computation.
+# in BENCH_results.json as the baseline for the speedup computation. The
+# contention fields are rewritten in place; every other section of the
+# file is kept.
 bench-contention:
 	$(GO) run ./cmd/sgx-perf-bench -exp contention \
 		-baseline BENCH_results.json -json BENCH_results.json
 
 # Measure the analysis fold (over the resident trace and from a saved
-# file) and trace codec speed (gob vs columnar), merging the rows into
+# file) and the trace codec's save and load speed, merging the rows into
 # BENCH_results.json under the "analyze" key.
 bench-analyze:
 	$(GO) run ./cmd/sgx-perf-bench -exp analyze -repeats 5 \

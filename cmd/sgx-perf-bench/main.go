@@ -8,6 +8,13 @@
 //	sgx-perf-bench -exp table2
 //	sgx-perf-bench -exp fig6-libressl -signs 10
 //	sgx-perf-bench -exp fig78 -duration 31s -full
+//	sgx-perf-bench -exp analyze -json BENCH_results.json
+//
+// With -json, the tool's own benchmarks (contention, analyze, serve,
+// switchless, outofcore) merge their results into one JSON object file:
+// each writes its own section and keeps every other, so one results
+// file collects them all run after run. -exp live -json instead writes
+// its run as an api/v1 document, the one wire shape.
 package main
 
 import (
@@ -15,6 +22,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"reflect"
+	"strings"
 	"time"
 
 	apiv1 "sgxperf/api/v1"
@@ -40,7 +49,6 @@ func run() error {
 		ops      = flag.Int("ops", 20000, "contention: ecalls per thread")
 		repeats  = flag.Int("repeats", 5, "contention: sweep repetitions (median is reported)")
 		jsonOut  = flag.String("json", "", "contention/live/serve: write machine-readable results to this file")
-		jsonOld  = flag.Bool("json-legacy", false, "with -json: write the live results in the pre-api/v1 shape")
 		baseline = flag.String("baseline", "", "contention: previous -json output to compute speedups against")
 		analyzeN = flag.Int("analyze-ops", 50000, "analyze: synthetic trace size in top-level calls")
 		oocOps   = flag.Int("outofcore-ops", 0, "outofcore: synthetic trace size in top-level calls (0 = default; raise to push the resident path past RAM)")
@@ -160,11 +168,7 @@ func run() error {
 			}
 			fmt.Println(experiments.RenderLiveRun(view))
 			if *jsonOut != "" {
-				if *jsonOld {
-					if err := writeJSON(*jsonOut, view); err != nil {
-						return err
-					}
-				} else if err := writeWireJSON(*jsonOut, liveResultsWire{
+				if err := writeWireJSON(*jsonOut, liveResultsWire{
 					SchemaVersion: apiv1.Version,
 					DurationNs:    int64(view.Duration),
 					Ticks:         view.Ticks,
@@ -232,10 +236,10 @@ func run() error {
 				fmt.Println()
 			}
 			if *jsonOut != "" {
-				if err := writeJSON(*jsonOut, res); err != nil {
+				if err := mergeJSONFields(*jsonOut, res); err != nil {
 					return err
 				}
-				fmt.Printf("results written to %s\n\n", *jsonOut)
+				fmt.Printf("contention results merged into %s\n\n", *jsonOut)
 			}
 		case "analyze":
 			res, err := experiments.RunAnalyzeThroughput(*analyzeN, *repeats)
@@ -430,15 +434,53 @@ func contentionSpeedups(base, cur []experiments.ContentionRow) map[string]float6
 // preserving every other top-level field (the contention results live in
 // the same file). A missing or non-object file starts a fresh object.
 func mergeJSONKey(path, key string, v any) error {
-	obj := map[string]json.RawMessage{}
-	if data, err := os.ReadFile(path); err == nil {
-		_ = json.Unmarshal(data, &obj) // best-effort: garbage starts fresh
-	}
 	raw, err := json.Marshal(v)
 	if err != nil {
 		return err
 	}
-	obj[key] = raw
+	return updateJSONObject(path, func(obj map[string]json.RawMessage) {
+		obj[key] = raw
+	})
+}
+
+// mergeJSONFields writes the top-level fields of the struct v into the
+// JSON object stored at path, preserving every other key (the analyze,
+// serve, switchless and outofcore sections). Fields of v's type that v
+// leaves out (omitempty) are removed, so no stale value from an earlier
+// run survives beside the new ones.
+func mergeJSONFields(path string, v any) error {
+	raw, err := json.Marshal(v)
+	if err != nil {
+		return err
+	}
+	fields := map[string]json.RawMessage{}
+	if err := json.Unmarshal(raw, &fields); err != nil {
+		return err
+	}
+	return updateJSONObject(path, func(obj map[string]json.RawMessage) {
+		typ := reflect.TypeOf(v)
+		if typ.Kind() == reflect.Pointer {
+			typ = typ.Elem()
+		}
+		for i := 0; i < typ.NumField(); i++ {
+			if name, _, _ := strings.Cut(typ.Field(i).Tag.Get("json"), ","); name != "" && name != "-" {
+				delete(obj, name)
+			}
+		}
+		for k, f := range fields {
+			obj[k] = f
+		}
+	})
+}
+
+// updateJSONObject applies edit to the JSON object stored at path and
+// writes it back. A missing or non-object file starts a fresh object.
+func updateJSONObject(path string, edit func(obj map[string]json.RawMessage)) error {
+	obj := map[string]json.RawMessage{}
+	if data, err := os.ReadFile(path); err == nil {
+		_ = json.Unmarshal(data, &obj) // best-effort: garbage starts fresh
+	}
+	edit(obj)
 	out, err := json.MarshalIndent(obj, "", "  ")
 	if err != nil {
 		return err
@@ -447,8 +489,7 @@ func mergeJSONKey(path, key string, v any) error {
 }
 
 // liveResultsWire is the api/v1 form of -exp live -json: run totals
-// plus the final snapshot as the shared LiveSnapshot wire type
-// (-json-legacy keeps the old internal-type shape).
+// plus the final snapshot as the shared LiveSnapshot wire type.
 type liveResultsWire struct {
 	SchemaVersion int                 `json:"schema_version"`
 	DurationNs    int64               `json:"duration_ns"`
@@ -465,12 +506,4 @@ func writeWireJSON(path string, v any) error {
 		return err
 	}
 	return os.WriteFile(path, data, 0o644)
-}
-
-func writeJSON(path string, v any) error {
-	data, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

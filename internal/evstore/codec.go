@@ -1,37 +1,30 @@
 package evstore
 
-// The versioned binary trace codec — the replacement for gob on the
-// Save/Load path. The gob format round-tripped every table through
-// reflection in one monolithic stream; at paper-size traces (§5's
-// multi-million-event runs) both directions were the slowest link in the
-// pipeline. The codec instead writes each table as a sequence of
-// independent row chunks:
+// The versioned binary trace codec: the one on-disk format. Each table
+// is written as a sequence of independent row chunks:
 //
-//	file   := magic "sgxperf-evc\x02" | uvarint(#tables) | table*
-//	table  := str(name) | byte(codec: 0 gob, 1 columnar) |
+//	file   := magic "sgxperf-evc\x03" | uvarint(#tables) | table* |
+//	          index | footer (stream.go)
+//	table  := str(name) | byte(codec: always 1, columnar) |
 //	          uvarint(#rows) | uvarint(#chunks) | chunk*
-//	chunk  := uvarint(#rows) | byte(flags: bit0 flate) |
+//	chunk  := uvarint(#rows) | byte(flags: always 0) |
 //	          uvarint(len(payload)) | payload
 //
-// A columnar chunk payload is self-contained: a string dictionary (call
-// names intern to small indexes) followed by column-major varint data,
-// with delta encoding for the monotone columns (event IDs, timestamps)
+// A chunk payload is self-contained: a string dictionary (call names
+// intern to small indexes) followed by column-major varint data, with
+// delta encoding for the monotone columns (event IDs, timestamps)
 // supplied by the per-type RowCodec implementations in
 // internal/perf/events. Self-containment is what buys parallelism: every
 // chunk encodes and decodes independently on the shared worker pool, and
 // the loader streams chunks into BatchInsert a window at a time instead
-// of materialising whole tables. Tables without a registered RowCodec
-// fall back to gob per chunk (codec byte 0) and still gain chunking,
-// optional compression and parallelism.
+// of materialising whole tables.
 //
-// Legacy traces saved by the gob format are still readable: Load peeks
-// at the first bytes and dispatches on the magic (see db.Load).
+// The codec and flags bytes are kept so the layout is self-describing,
+// but each has exactly one valid value: readers reject any other codec
+// byte and any non-zero flags byte with ErrCorrupt.
 
 import (
-	"bytes"
-	"compress/flate"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -40,39 +33,12 @@ import (
 	"sgxperf/internal/pool"
 )
 
-// magicBinary identifies the columnar format; the trailing byte is the
-// format version. Version 2 is the index-less layout; version 3 appends
-// the chunk index and footer described in stream.go. Both versions load;
-// Save writes version 3.
-const (
-	magicBinary   = "sgxperf-evc\x02"
-	magicBinaryV3 = "sgxperf-evc\x03"
-)
-
-// Format selects the on-disk representation for SaveWith.
-type Format int
+// magicBinaryV3 identifies the format; the trailing byte is the format
+// version.
+const magicBinaryV3 = "sgxperf-evc\x03"
 
 const (
-	// FormatBinary is the chunked columnar codec (the default).
-	FormatBinary Format = iota
-	// FormatGob is the legacy reflection-based format, kept writable for
-	// interop tests and migration fixtures.
-	FormatGob
-)
-
-// SaveOptions configures SaveWith.
-type SaveOptions struct {
-	Format Format
-	// Compress flate-compresses each chunk payload. It costs encode CPU
-	// and is off by default; chunks record the choice per chunk, so
-	// readers need no configuration.
-	Compress bool
-}
-
-const (
-	chunkFlagFlate = 1 << 0
-
-	codecGob      = 0
+	// codecColumnar is the only valid table codec byte.
 	codecColumnar = 1
 
 	// Decode-side sanity caps: corrupted counts must produce errors, not
@@ -100,11 +66,6 @@ type RowCodec[T any] interface {
 	Encode(e *Encoder, rows []T)
 	Decode(d *Decoder, n int) []T
 }
-
-// SetCodec registers the table's columnar codec. It must be called
-// before the table is shared between goroutines (in practice: right
-// after NewTable); tables without a codec serialise chunks through gob.
-func (t *Table[T]) SetCodec(c RowCodec[T]) { t.codec = c }
 
 // ---------------------------------------------------------------------
 // Encoder / Decoder: the primitive layer RowCodecs are written against.
@@ -174,7 +135,7 @@ type Decoder struct {
 	err  error
 }
 
-func newDecoder(payload []byte, nrows int) (*Decoder, error) {
+func newDecoder(payload []byte) (*Decoder, error) {
 	d := &Decoder{data: payload}
 	ndict := d.Uvarint()
 	if d.err != nil {
@@ -195,7 +156,6 @@ func newDecoder(payload []byte, nrows int) (*Decoder, error) {
 		d.dict = append(d.dict, string(d.data[d.pos:d.pos+int(n)]))
 		d.pos += int(n)
 	}
-	_ = nrows
 	return d, nil
 }
 
@@ -305,47 +265,35 @@ func (t *Table[T]) chunkSnapshot() (chunks [][]T, total int) {
 	return chunks, t.length
 }
 
-// encodeChunkPayload produces one chunk's payload bytes (pre-compression).
-func (t *Table[T]) encodeChunkPayload(rows []T) ([]byte, byte, error) {
-	if t.codec != nil {
-		// Pre-size for the common shape — a dozen-odd mostly-single-byte
-		// columns per row — so the append path grows the buffer rarely.
-		e := Encoder{col: make([]byte, 0, 16*len(rows)+64)}
-		t.codec.Encode(&e, rows)
-		return e.finish(), codecColumnar, nil
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(rows); err != nil {
-		return nil, codecGob, err
-	}
-	return buf.Bytes(), codecGob, nil
+// encodeChunkPayload produces one chunk's payload bytes.
+func (t *Table[T]) encodeChunkPayload(rows []T) []byte {
+	// Pre-size for the common shape — a dozen-odd mostly-single-byte
+	// columns per row — so the append path grows the buffer rarely.
+	e := Encoder{col: make([]byte, 0, 16*len(rows)+64)}
+	t.codec.Encode(&e, rows)
+	return e.finish()
 }
 
-// tableIndex is one table's slice of the v3 chunk index (stream.go),
-// collected while writeBinary emits the table.
+// tableIndex is one table's slice of the v3 chunk index (stream.go):
+// collected while writeBinary emits the table, cross-checked by the
+// resident loader and parsed by the stream reader.
 type tableIndex struct {
-	name      string
-	codecByte byte
-	rows      int
-	chunks    []ChunkInfo
+	name   string
+	rows   int
+	chunks []ChunkInfo
 }
 
-// writeBinary serialises the table: header, then each chunk encoded (and
-// optionally compressed) in parallel on the shared pool and written in
-// order. The returned index records each chunk's file offset, row count
-// and pre-compression content hash for the v3 chunk index.
-func (t *Table[T]) writeBinary(w *countingWriter, opts SaveOptions) (tableIndex, error) {
+// writeBinary serialises the table: header, then each chunk encoded in
+// parallel on the shared pool and written in order. The returned index
+// records each chunk's file offset, row count and content hash for the
+// v3 chunk index.
+func (t *Table[T]) writeBinary(w *countingWriter) (tableIndex, error) {
 	chunks, total := t.chunkSnapshot()
-
-	codecByte := byte(codecGob)
-	if t.codec != nil {
-		codecByte = codecColumnar
-	}
-	idx := tableIndex{name: t.name, codecByte: codecByte, rows: total}
+	idx := tableIndex{name: t.name, rows: total}
 
 	head := binary.AppendUvarint(nil, uint64(len(t.name)))
 	head = append(head, t.name...)
-	head = append(head, codecByte)
+	head = append(head, codecColumnar)
 	head = binary.AppendUvarint(head, uint64(total))
 	head = binary.AppendUvarint(head, uint64(len(chunks)))
 	if _, err := w.Write(head); err != nil {
@@ -353,47 +301,18 @@ func (t *Table[T]) writeBinary(w *countingWriter, opts SaveOptions) (tableIndex,
 	}
 
 	payloads := make([][]byte, len(chunks))
-	flags := make([]byte, len(chunks))
 	hashes := make([]uint64, len(chunks))
-	errs := make([]error, len(chunks))
 	pool.ForEach(len(chunks), func(i int) {
-		p, _, err := t.encodeChunkPayload(chunks[i])
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		hashes[i] = hashChunkPayload(codecByte, p)
-		if opts.Compress {
-			var buf bytes.Buffer
-			fw, err := flate.NewWriter(&buf, flate.BestSpeed)
-			if err == nil {
-				if _, err = fw.Write(p); err == nil {
-					err = fw.Close()
-				}
-			}
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			if buf.Len() < len(p) {
-				p = buf.Bytes()
-				flags[i] = chunkFlagFlate
-			}
-		}
-		payloads[i] = p
+		payloads[i] = t.encodeChunkPayload(chunks[i])
+		hashes[i] = hashChunkPayload(payloads[i])
 	})
-	for i, err := range errs {
-		if err != nil {
-			return idx, fmt.Errorf("chunk %d: %w", i, err)
-		}
-	}
 
 	idx.chunks = make([]ChunkInfo, len(chunks))
 	var chead []byte
 	for i, p := range payloads {
 		idx.chunks[i] = ChunkInfo{Offset: w.n, Rows: len(chunks[i]), Hash: hashes[i]}
 		chead = binary.AppendUvarint(chead[:0], uint64(len(chunks[i])))
-		chead = append(chead, flags[i])
+		chead = append(chead, 0) // flags
 		chead = binary.AppendUvarint(chead, uint64(len(p)))
 		if _, err := w.Write(chead); err != nil {
 			return idx, err
@@ -425,34 +344,25 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 // rawChunk is one chunk read off the wire, pre-decode.
 type rawChunk struct {
 	nrows   int
-	flags   byte
 	payload []byte
 }
 
 // binTableReader carries the streaming state the DB loader hands each
-// table. pos, when set, reports the absolute file offset consumed so far
-// so readBinary can record per-chunk marks for the v3 index validation.
+// table. src counts the file offset consumed so far, so readBinary can
+// record per-chunk marks for the v3 index validation.
 type binTableReader struct {
 	br  *countingReader
-	pos func() int64
+	src *countedSource
 }
 
 func (t *Table[T]) readBinary(r *binTableReader) (tableIndex, error) {
 	idx := tableIndex{name: t.name}
 	codecByte, err := r.br.readByte()
 	if err != nil {
-		return idx, err
+		return idx, corruptf("table %q: truncated codec: %v", t.name, err)
 	}
-	idx.codecByte = codecByte
-	switch codecByte {
-	case codecColumnar:
-		if t.codec == nil {
-			return idx, corruptf("table %q was written with a columnar codec but none is registered", t.name)
-		}
-	case codecGob:
-		// Decodable regardless of registration.
-	default:
-		return idx, corruptf("table %q: unknown codec %d", t.name, codecByte)
+	if codecByte != codecColumnar {
+		return idx, corruptf("table %q: codec %d is not columnar", t.name, codecByte)
 	}
 	total, err := r.br.readUvarint(maxDecodeRows)
 	if err != nil {
@@ -486,9 +396,7 @@ func (t *Table[T]) readBinary(r *binTableReader) (tableIndex, error) {
 		raws := make([]rawChunk, n)
 		offs := make([]int64, n)
 		for i := 0; i < n; i++ {
-			if r.pos != nil {
-				offs[i] = r.pos()
-			}
+			offs[i] = r.src.n
 			if raws[i], err = r.br.readChunk(); err != nil {
 				return idx, fmt.Errorf("table %q chunk %d: %w", t.name, done+i, err)
 			}
@@ -496,7 +404,7 @@ func (t *Table[T]) readBinary(r *binTableReader) (tableIndex, error) {
 		rows := make([][]T, n)
 		errs := make([]error, n)
 		pool.ForEach(n, func(i int) {
-			rows[i], errs[i] = t.decodeChunk(raws[i], codecByte)
+			rows[i], errs[i] = decodeChunkPayload(t.codec, raws[i].payload, raws[i].nrows)
 		})
 		for i := 0; i < n; i++ {
 			if errs[i] != nil {
@@ -506,9 +414,7 @@ func (t *Table[T]) readBinary(r *binTableReader) (tableIndex, error) {
 			if decoded > int(total) {
 				return idx, corruptf("table %q: more rows than declared (%d > %d)", t.name, decoded, total)
 			}
-			if r.pos != nil {
-				idx.chunks = append(idx.chunks, ChunkInfo{Offset: offs[i], Rows: len(rows[i])})
-			}
+			idx.chunks = append(idx.chunks, ChunkInfo{Offset: offs[i], Rows: len(rows[i])})
 			t.appendQuiet(rows[i])
 		}
 		done += n
@@ -519,44 +425,16 @@ func (t *Table[T]) readBinary(r *binTableReader) (tableIndex, error) {
 	return idx, nil
 }
 
-// inflateChunk undoes the optional per-chunk flate compression,
-// returning the pre-compression payload bytes.
-func inflateChunk(rc rawChunk) ([]byte, error) {
-	if rc.flags&chunkFlagFlate == 0 {
-		return rc.payload, nil
-	}
-	fr := flate.NewReader(bytes.NewReader(rc.payload))
-	inflated, err := io.ReadAll(io.LimitReader(fr, maxDecodeChunkLen+1))
-	if err != nil {
-		return nil, corruptf("inflate: %v", err)
-	}
-	if len(inflated) > maxDecodeChunkLen {
-		return nil, corruptf("inflated chunk exceeds %d bytes", maxDecodeChunkLen)
-	}
-	return inflated, nil
-}
-
-// decodeChunkPayload decodes one pre-compression chunk payload into
-// rows — the shared core of the resident loader and the stream cursors.
-// codec may be nil only for gob chunks.
-func decodeChunkPayload[T any](codec RowCodec[T], codecByte byte, payload []byte, nrows int) ([]T, error) {
-	if codecByte == codecGob {
-		var rows []T
-		if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&rows); err != nil {
-			return nil, corruptf("gob chunk: %v", err)
-		}
-		if len(rows) != nrows {
-			return nil, corruptf("gob chunk decoded %d rows, header declared %d", len(rows), nrows)
-		}
-		return rows, nil
-	}
+// decodeChunkPayload decodes one chunk payload into rows — the shared
+// core of the resident loader and the stream cursors.
+func decodeChunkPayload[T any](codec RowCodec[T], payload []byte, nrows int) ([]T, error) {
 	// Every columnar row occupies at least one payload byte, so a row
 	// count above the payload size is corrupt — reject it before the
 	// RowCodec allocates the row slice.
 	if nrows > len(payload) {
 		return nil, corruptf("%d rows declared in a %d-byte payload", nrows, len(payload))
 	}
-	d, err := newDecoder(payload, nrows)
+	d, err := newDecoder(payload)
 	if err != nil {
 		return nil, err
 	}
@@ -570,23 +448,13 @@ func decodeChunkPayload[T any](codec RowCodec[T], codecByte byte, payload []byte
 	return rows, nil
 }
 
-// decodeChunk inflates and decodes one raw chunk.
-func (t *Table[T]) decodeChunk(rc rawChunk, codecByte byte) ([]T, error) {
-	payload, err := inflateChunk(rc)
-	if err != nil {
-		return nil, err
-	}
-	return decodeChunkPayload(t.codec, codecByte, payload, rc.nrows)
-}
-
-// appendQuiet appends decoded rows without notifying subscribers — the
-// load path mirrors the gob decodeRows semantics (a restore, not an
-// insert stream). Decoded chunks arrive at exactly the storage chunk
-// size except the last (writeBinary emits storage chunks), so a full
-// chunk slice is adopted directly instead of copied; the indexing
-// invariant — every chunk but the last holds exactly chunkSize rows —
-// is preserved because adoption only happens when the previous chunk is
-// full.
+// appendQuiet appends decoded rows without notifying subscribers — a
+// load is a restore, not an insert stream. Decoded chunks arrive at
+// exactly the storage chunk size except the last (writeBinary emits
+// storage chunks), so a full chunk slice is adopted directly instead of
+// copied; the indexing invariant — every chunk but the last holds
+// exactly chunkSize rows — is preserved because adoption only happens
+// when the previous chunk is full.
 func (t *Table[T]) appendQuiet(rows []T) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -658,6 +526,9 @@ func (c *countingReader) readChunk() (rawChunk, error) {
 	if err != nil {
 		return rawChunk{}, corruptf("truncated chunk flags: %v", err)
 	}
+	if flags != 0 {
+		return rawChunk{}, corruptf("chunk flags %#x: only uncompressed chunks (flags 0) are valid", flags)
+	}
 	plen, err := c.readUvarint(maxDecodeChunkLen)
 	if err != nil {
 		return rawChunk{}, err
@@ -666,7 +537,7 @@ func (c *countingReader) readChunk() (rawChunk, error) {
 	if err != nil {
 		return rawChunk{}, err
 	}
-	return rawChunk{nrows: int(nrows), flags: flags, payload: payload}, nil
+	return rawChunk{nrows: int(nrows), payload: payload}, nil
 }
 
 // byteReaderFunc adapts a func to io.ByteReader.
@@ -677,9 +548,9 @@ func (f byteReaderFunc) ReadByte() (byte, error) { return f() }
 // ---------------------------------------------------------------------
 // DB-level save/load.
 
-// saveBinary writes the columnar format (version 3: table data followed
-// by the chunk index and footer, see stream.go). Caller holds db.mu.
-func (db *DB) saveBinary(w io.Writer, opts SaveOptions) error {
+// saveBinary writes the columnar format: table data followed by the
+// chunk index and footer (see stream.go). Caller holds db.mu.
+func (db *DB) saveBinary(w io.Writer) error {
 	cw := &countingWriter{w: w}
 	if _, err := io.WriteString(cw, magicBinaryV3); err != nil {
 		return fmt.Errorf("evstore: header: %w", err)
@@ -690,7 +561,7 @@ func (db *DB) saveBinary(w io.Writer, opts SaveOptions) error {
 	}
 	index := make([]tableIndex, 0, len(db.tables))
 	for _, t := range db.tables {
-		idx, err := t.writeBinary(cw, opts)
+		idx, err := t.writeBinary(cw)
 		if err != nil {
 			return fmt.Errorf("evstore: table %q: %w", t.Name(), err)
 		}
@@ -707,12 +578,11 @@ func (db *DB) saveBinary(w io.Writer, opts SaveOptions) error {
 }
 
 // loadBinary reads the columnar format; r is positioned just past the
-// magic. For v3 files the trailing chunk index and footer are read and
-// cross-checked against the tables actually decoded, so a truncated or
-// structurally inconsistent file always errors even on this sequential
-// path.
-func (db *DB) loadBinary(r io.Reader, v3 bool) error {
-	src := &countedSource{r: r, n: int64(len(magicBinary))}
+// magic. The trailing chunk index and footer are read and cross-checked
+// against the tables actually decoded, so a truncated or structurally
+// inconsistent file always errors even on this sequential path.
+func (db *DB) loadBinary(r io.Reader) error {
+	src := &countedSource{r: r, n: int64(len(magicBinaryV3))}
 	cr := &countingReader{r: src}
 	ntables, err := cr.readUvarint(maxDecodeTables)
 	if err != nil {
@@ -722,10 +592,7 @@ func (db *DB) loadBinary(r io.Reader, v3 bool) error {
 		return fmt.Errorf("evstore: file has %d tables, schema has %d", ntables, len(db.tables))
 	}
 	marks := make([]tableIndex, 0, len(db.tables))
-	btr := &binTableReader{br: cr}
-	if v3 {
-		btr.pos = func() int64 { return src.n }
-	}
+	btr := &binTableReader{br: cr, src: src}
 	for i, t := range db.tables {
 		name, err := cr.readString(maxDecodeName)
 		if err != nil {
@@ -739,9 +606,6 @@ func (db *DB) loadBinary(r io.Reader, v3 bool) error {
 			return fmt.Errorf("evstore: table %q: %w", name, err)
 		}
 		marks = append(marks, idx)
-	}
-	if !v3 {
-		return nil
 	}
 	return validateStreamIndex(cr, src.n, marks)
 }
@@ -760,7 +624,7 @@ func validateStreamIndex(cr *countingReader, indexOff int64, marks []tableIndex)
 	}
 	for i, ti := range tables {
 		m := marks[i]
-		if ti.name != m.name || ti.codecByte != m.codecByte || ti.rows != m.rows || len(ti.chunks) != len(m.chunks) {
+		if ti.name != m.name || ti.rows != m.rows || len(ti.chunks) != len(m.chunks) {
 			return corruptf("index entry for table %q does not match its data", m.name)
 		}
 		for j, c := range ti.chunks {

@@ -2,6 +2,8 @@ package evstore
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/gob"
 	"errors"
 	"fmt"
 	"reflect"
@@ -42,20 +44,41 @@ func (recCodec) Decode(d *Decoder, n int) []rec {
 	return rows
 }
 
-// aux is a second row type left on the gob fallback, so every DB in
-// these tests exercises both chunk codecs.
+// aux is a second row type with its own codec, covering the fixed
+// float primitive, so every DB in these tests holds two tables.
 type aux struct {
 	Tag string
 	N   float64
 }
 
-// testDB builds a two-table schema: "recs" columnar, "extra" gob.
+type auxCodec struct{}
+
+func (auxCodec) Encode(e *Encoder, rows []aux) {
+	for i := range rows {
+		e.String(rows[i].Tag)
+	}
+	for i := range rows {
+		e.Float64(rows[i].N)
+	}
+}
+
+func (auxCodec) Decode(d *Decoder, n int) []aux {
+	rows := make([]aux, n)
+	for i := range rows {
+		rows[i].Tag = d.String()
+	}
+	for i := range rows {
+		rows[i].N = d.Float64()
+	}
+	return rows
+}
+
+// testDB builds a two-table schema: "recs" and "extra".
 func testDB(t *testing.T) (*DB, *Table[rec], *Table[aux]) {
 	t.Helper()
 	db := NewDB()
-	recs := NewTable[rec]("recs")
-	recs.SetCodec(recCodec{})
-	extra := NewTable[aux]("extra")
+	recs := NewTable[rec]("recs", recCodec{})
+	extra := NewTable[aux]("extra", auxCodec{})
 	if err := Register(db, recs); err != nil {
 		t.Fatal(err)
 	}
@@ -86,61 +109,26 @@ func dbEqual(t *testing.T, a, b *DB, ar, br *Table[rec], ax, bx *Table[aux]) {
 	}
 }
 
-// TestBinaryRoundTrip saves and loads across format options and table
-// sizes, including the multi-chunk regime (> chunkSize rows) that drives
-// the parallel encode/decode paths.
+// TestBinaryRoundTrip saves and loads across table sizes, including the
+// multi-chunk regime (> chunkSize rows) that drives the parallel
+// encode/decode paths. Chunks are always stored uncompressed (flags 0),
+// which the subtest names spell out.
 func TestBinaryRoundTrip(t *testing.T) {
 	for _, n := range []int{0, 1, 100, chunkSize, chunkSize + 1, 3*chunkSize + 17} {
-		for _, compress := range []bool{false, true} {
-			t.Run(fmt.Sprintf("n=%d/compress=%v", n, compress), func(t *testing.T) {
-				src, recs, extra := testDB(t)
-				_ = src
-				fillDB(recs, extra, n)
-				var buf bytes.Buffer
-				if err := src.SaveWith(&buf, SaveOptions{Compress: compress}); err != nil {
-					t.Fatal(err)
-				}
-				dst, drecs, dextra := testDB(t)
-				if err := dst.Load(bytes.NewReader(buf.Bytes())); err != nil {
-					t.Fatal(err)
-				}
-				dbEqual(t, src, dst, recs, drecs, extra, dextra)
-			})
-		}
+		t.Run(fmt.Sprintf("n=%d/compress=false", n), func(t *testing.T) {
+			src, recs, extra := testDB(t)
+			fillDB(recs, extra, n)
+			var buf bytes.Buffer
+			if err := src.Save(&buf); err != nil {
+				t.Fatal(err)
+			}
+			dst, drecs, dextra := testDB(t)
+			if err := dst.Load(bytes.NewReader(buf.Bytes())); err != nil {
+				t.Fatal(err)
+			}
+			dbEqual(t, src, dst, recs, drecs, extra, dextra)
+		})
 	}
-}
-
-// TestLegacyGobMigration is the backward-compatibility contract: a
-// database saved by the legacy gob format loads identically through the
-// new Load, and re-saving it in the binary format round-trips losslessly
-// — the gob→codec migration path.
-func TestLegacyGobMigration(t *testing.T) {
-	src, recs, extra := testDB(t)
-	fillDB(recs, extra, 2*chunkSize+9)
-
-	var gobBuf bytes.Buffer
-	if err := src.SaveWith(&gobBuf, SaveOptions{Format: FormatGob}); err != nil {
-		t.Fatal(err)
-	}
-	mid, mrecs, mextra := testDB(t)
-	if err := mid.Load(bytes.NewReader(gobBuf.Bytes())); err != nil {
-		t.Fatalf("loading legacy gob: %v", err)
-	}
-	dbEqual(t, src, mid, recs, mrecs, extra, mextra)
-
-	// Migrate: write the loaded data in the new format and load it again.
-	var binBuf bytes.Buffer
-	if err := mid.Save(&binBuf); err != nil {
-		t.Fatal(err)
-	}
-	if bytes.HasPrefix(binBuf.Bytes(), gobBuf.Bytes()[:4]) {
-		t.Fatal("migrated save still looks like gob")
-	}
-	dst, drecs, dextra := testDB(t)
-	if err := dst.Load(bytes.NewReader(binBuf.Bytes())); err != nil {
-		t.Fatalf("loading migrated binary: %v", err)
-	}
-	dbEqual(t, src, dst, recs, drecs, extra, dextra)
 }
 
 // TestLoadOverwritesExisting checks Load replaces prior contents rather
@@ -167,7 +155,7 @@ func TestCorruptInputsError(t *testing.T) {
 	src, recs, extra := testDB(t)
 	fillDB(recs, extra, 300)
 	var buf bytes.Buffer
-	if err := src.SaveWith(&buf, SaveOptions{Compress: true}); err != nil {
+	if err := src.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
 	full := buf.Bytes()
@@ -186,8 +174,64 @@ func TestCorruptInputsError(t *testing.T) {
 	}
 }
 
-// TestCorruptErrorsAreErrCorrupt spot-checks that structural damage
-// reports ErrCorrupt.
+// legacyGob encodes the DB the way the retired whole-file gob format
+// did: a header value, then each table's rows as one flat slice.
+func legacyGob(t *testing.T, recs *Table[rec], extra *Table[aux]) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	enc := gob.NewEncoder(&buf)
+	header := struct {
+		Magic   string
+		Version int
+		Tables  []string
+	}{"sgxperf-evstore", 1, []string{"recs", "extra"}}
+	for _, v := range []any{header, recs.Rows(), extra.Rows()} {
+		if err := enc.Encode(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return buf.Bytes()
+}
+
+// codecByteOffsets locates the first table's codec byte in the data
+// section and in the chunk index of a saved file.
+func codecByteOffsets(t *testing.T, full []byte) (data, index int) {
+	t.Helper()
+	head := func(at int) int {
+		_, n := binary.Uvarint(full[at:]) // #tables
+		at += n
+		l, n := binary.Uvarint(full[at:]) // name length
+		return at + n + int(l)
+	}
+	indexOff := int(binary.LittleEndian.Uint64(full[len(full)-footerSize:]))
+	return head(len(magicBinaryV3)), head(indexOff)
+}
+
+// streamErr opens data as a stream and drains every table, returning
+// the first error.
+func streamErr(data []byte) error {
+	sr, err := NewStreamReader(bytes.NewReader(data), int64(len(data)))
+	if err != nil {
+		return err
+	}
+	recs, err := NewStreamCursor[rec](sr, "recs", recCodec{})
+	if err != nil {
+		return err
+	}
+	if _, err := drain(recs); err != nil {
+		return err
+	}
+	extra, err := NewStreamCursor[aux](sr, "extra", auxCodec{})
+	if err != nil {
+		return err
+	}
+	_, err = drain(extra)
+	return err
+}
+
+// TestCorruptErrorsAreErrCorrupt checks that structural damage and every
+// retired encoding report ErrCorrupt, through both the resident loader
+// and the stream reader with its cursors.
 func TestCorruptErrorsAreErrCorrupt(t *testing.T) {
 	src, recs, extra := testDB(t)
 	fillDB(recs, extra, 10)
@@ -195,57 +239,75 @@ func TestCorruptErrorsAreErrCorrupt(t *testing.T) {
 	if err := src.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	mut := buf.Bytes()
-	mut = mut[:len(mut)-3] // drop the tail of the last chunk
-	dst, _, _ := testDB(t)
-	err := dst.Load(bytes.NewReader(mut))
-	if err == nil {
-		t.Fatal("expected an error")
+	full := buf.Bytes()
+	patched := func(edit func(b []byte)) []byte {
+		b := append([]byte(nil), full...)
+		edit(b)
+		return b
 	}
-	if !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("error %v is not ErrCorrupt", err)
+	dataCodec, indexCodec := codecByteOffsets(t, full)
+	if full[dataCodec] != codecColumnar || full[indexCodec] != codecColumnar {
+		t.Fatalf("codec byte offsets %d/%d do not hold the columnar codec", dataCodec, indexCodec)
+	}
+	sr, err := NewStreamReader(bytes.NewReader(full), int64(len(full)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := sr.Chunks("recs")[0]
+	_, nrowsLen := binary.Uvarint(full[first.Offset:])
+	flagsAt := int(first.Offset) + nrowsLen
+
+	for name, data := range map[string][]byte{
+		// Drop the tail of the index and footer.
+		"truncated": full[:len(full)-3],
+		"gob":       legacyGob(t, recs, extra),
+		"v2 magic":  asV2(t, full),
+		// A table written through the retired per-chunk gob fallback.
+		"codec byte 0": patched(func(b []byte) { b[dataCodec], b[indexCodec] = 0, 0 }),
+		"flate flag":   patched(func(b []byte) { b[flagsAt] = 1 }),
+	} {
+		dst, _, _ := testDB(t)
+		if err := dst.Load(bytes.NewReader(data)); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: Load error %v is not ErrCorrupt", name, err)
+		}
+		if err := streamErr(data); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: stream error %v is not ErrCorrupt", name, err)
+		}
 	}
 }
 
 // FuzzCodecRoundTrip drives three properties at once: (1) a database
-// built from fuzz-derived rows survives encode→decode bit-for-bit in
-// both formats — through Load and through the streaming chunk cursors,
-// which must agree; (2) Load over the raw fuzz bytes themselves returns
-// an error or succeeds but never panics; and (3) the same holds for
-// opening the raw bytes as a stream and draining its cursors.
+// built from fuzz-derived rows survives encode→decode bit-for-bit —
+// through Load and through the streaming chunk cursors, which must
+// agree; (2) Load over the raw fuzz bytes themselves returns an error or
+// succeeds but never panics; and (3) the same holds for opening the raw
+// bytes as a stream and draining its cursors.
 func FuzzCodecRoundTrip(f *testing.F) {
-	f.Add([]byte{}, false)
-	f.Add([]byte("hello world, this is seed data for rows"), true)
-	f.Add([]byte(magicBinary+"\x02recs"), false)
+	f.Add([]byte{})
+	f.Add([]byte("hello world, this is seed data for rows"))
+	f.Add([]byte(magicBinaryV3 + "\x02\x04recs"))
 	// A valid save as a seed so mutations explore near-valid inputs.
 	{
 		db := NewDB()
-		recs := NewTable[rec]("recs")
-		recs.SetCodec(recCodec{})
-		extra := NewTable[aux]("extra")
+		recs := NewTable[rec]("recs", recCodec{})
+		extra := NewTable[aux]("extra", auxCodec{})
 		if Register(db, recs) == nil && Register(db, extra) == nil {
 			fillDB(recs, extra, 40)
 			var buf bytes.Buffer
 			if err := db.Save(&buf); err == nil {
-				f.Add(buf.Bytes(), true)
+				f.Add(buf.Bytes())
 			}
 		}
 	}
 
-	f.Fuzz(func(t *testing.T, data []byte, compress bool) {
+	f.Fuzz(func(t *testing.T, data []byte) {
 		// Property 2: arbitrary bytes never panic the loader.
 		raw, _, _ := testDB(t)
 		_ = raw.Load(bytes.NewReader(data))
 
 		// Property 3: arbitrary bytes never panic the stream path either
 		// — open, cursor creation and chunk decode all error cleanly.
-		if sr, err := NewStreamReader(bytes.NewReader(data), int64(len(data))); err == nil {
-			for _, name := range sr.TableNames() {
-				if cur, err := NewStreamCursor[rec](sr, name, recCodec{}); err == nil {
-					_, _ = drain(cur)
-				}
-			}
-		}
+		_ = streamErr(data)
 
 		// Property 1: rows derived from the fuzz input round-trip exactly.
 		src, recs, extra := testDB(t)
@@ -261,36 +323,31 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		if len(data) > 0 {
 			extra.Insert(aux{Tag: string(data[:len(data)%5]), N: float64(len(data))})
 		}
-		for _, format := range []Format{FormatBinary, FormatGob} {
-			var buf bytes.Buffer
-			if err := src.SaveWith(&buf, SaveOptions{Format: format, Compress: compress}); err != nil {
-				t.Fatalf("save format=%d: %v", format, err)
-			}
-			dst, drecs, dextra := testDB(t)
-			if err := dst.Load(bytes.NewReader(buf.Bytes())); err != nil {
-				t.Fatalf("load format=%d: %v", format, err)
-			}
-			if !reflect.DeepEqual(recs.Rows(), drecs.Rows()) {
-				t.Fatalf("format=%d: recs did not round-trip", format)
-			}
-			if !reflect.DeepEqual(extra.Rows(), dextra.Rows()) {
-				t.Fatalf("format=%d: extra did not round-trip", format)
-			}
-			if format != FormatBinary {
-				continue
-			}
-			// Property 1, streaming side: the chunk cursors over the
-			// same valid save must deliver exactly the resident rows.
-			sr, err := NewStreamReader(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
-			if err != nil {
-				t.Fatalf("stream open of a valid save: %v", err)
-			}
-			if got := drainTable[rec](t, sr, "recs", recCodec{}); !rowsEqual(got, recs.Rows()) {
-				t.Fatalf("streamed recs diverge from resident rows")
-			}
-			if got := drainTable[aux](t, sr, "extra", nil); !rowsEqual(got, extra.Rows()) {
-				t.Fatalf("streamed extra diverges from resident rows")
-			}
+		var buf bytes.Buffer
+		if err := src.Save(&buf); err != nil {
+			t.Fatalf("save: %v", err)
+		}
+		dst, drecs, dextra := testDB(t)
+		if err := dst.Load(bytes.NewReader(buf.Bytes())); err != nil {
+			t.Fatalf("load: %v", err)
+		}
+		if !reflect.DeepEqual(recs.Rows(), drecs.Rows()) {
+			t.Fatalf("recs did not round-trip")
+		}
+		if !reflect.DeepEqual(extra.Rows(), dextra.Rows()) {
+			t.Fatalf("extra did not round-trip")
+		}
+		// Property 1, streaming side: the chunk cursors over the same
+		// valid save must deliver exactly the resident rows.
+		sr, err := NewStreamReader(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
+		if err != nil {
+			t.Fatalf("stream open of a valid save: %v", err)
+		}
+		if got := drainTable[rec](t, sr, "recs", recCodec{}); !rowsEqual(got, recs.Rows()) {
+			t.Fatalf("streamed recs diverge from resident rows")
+		}
+		if got := drainTable[aux](t, sr, "extra", auxCodec{}); !rowsEqual(got, extra.Rows()) {
+			t.Fatalf("streamed extra diverges from resident rows")
 		}
 	})
 }

@@ -1,14 +1,10 @@
 package evstore
 
-import (
-	"hash/fnv"
-
-	"sgxperf/internal/pool"
-)
+import "sgxperf/internal/pool"
 
 // ChunkHashes returns one 64-bit content hash per storage chunk, in
 // chunk order. The hash covers the chunk's encoded payload (the same
-// bytes writeBinary would emit pre-compression), so two tables whose
+// bytes writeBinary emits), so two tables whose
 // chunks hold equal rows hash equally regardless of how the rows were
 // inserted, and any row change changes its chunk's hash.
 //
@@ -62,21 +58,11 @@ func (t *Table[T]) ChunkHashes() []uint64 {
 // hashChunk hashes one chunk's rows via its encoded payload (FNV-1a
 // over the codec byte and the payload bytes).
 func (t *Table[T]) hashChunk(rows []T) uint64 {
-	payload, codecByte, err := t.encodeChunkPayload(rows)
-	h := fnv.New64a()
-	if err != nil {
-		// Gob refusing an in-memory row type is a schema bug that Save
-		// would also hit; keep the hash deterministic rather than panic.
-		h.Write([]byte(err.Error()))
-		return h.Sum64()
-	}
-	h.Write([]byte{codecByte})
-	h.Write(payload)
-	return h.Sum64()
+	return hashChunkPayload(t.encodeChunkPayload(rows))
 }
 
 // invalidateHashesLocked drops the full-chunk hash cache; the rewrite
-// paths (Replace, Reset, decodeRows, readBinary) call it with t.mu
+// paths (Replace, Reset, readBinary) call it with t.mu
 // held.
 func (t *Table[T]) invalidateHashesLocked() {
 	t.hashed = nil

@@ -117,7 +117,7 @@ func TestRecordedSessionMatchesOracle(t *testing.T) {
 	for _, w := range []struct {
 		name string
 		ops  int
-	}{{"sqlite", 20}, {"talos", 20}, {"glamdring", 1}, {"amplify", 5}} {
+	}{{"sqlite", 20}, {"talos", 20}, {"glamdring", 1}, {"amplify", 5}, {"securekeeper", 40}} {
 		name := w.name
 		run, err := sgxperf.RunWorkload(name, sgxperf.WorkloadOptions{Ops: w.ops, Logger: true})
 		if err != nil {

@@ -6,9 +6,8 @@ package events
 // tiny, so varints collapse to one or two bytes), call and region names
 // intern into the chunk's string dictionary, and parent links are stored
 // relative to the row's own ID (parents are recent, so the delta is
-// small). Meta and Enclaves stay on the gob fallback: they hold a
-// handful of rows with free-form text, where columnar encoding buys
-// nothing.
+// small). The header tables (meta, enclaves) hold a handful of rows of
+// free-form text; their codecs store each field as one plain column.
 //
 // Decode runs against untrusted bytes (fuzzed, truncated, bit-flipped
 // traces); it relies on the Decoder's sticky error and never panics.
@@ -419,6 +418,74 @@ func (c threadCodec) Decode(d *evstore.Decoder, n int) []ThreadEvent {
 	for i := range rows {
 		prev += d.Varint()
 		rows[i].Time = vtime.Cycles(prev)
+	}
+	return rows
+}
+
+type metaCodec struct{}
+
+func (c metaCodec) Encode(e *evstore.Encoder, rows []TraceMeta) {
+	for i := range rows {
+		e.String(rows[i].Workload)
+	}
+	for i := range rows {
+		e.Float64(rows[i].FrequencyHz)
+	}
+	for i := range rows {
+		e.String(rows[i].Mitigation)
+	}
+	for i := range rows {
+		e.Varint(rows[i].TransitionCycles)
+	}
+}
+
+func (c metaCodec) Decode(d *evstore.Decoder, n int) []TraceMeta {
+	rows := make([]TraceMeta, n)
+	for i := range rows {
+		rows[i].Workload = d.String()
+	}
+	for i := range rows {
+		rows[i].FrequencyHz = d.Float64()
+	}
+	for i := range rows {
+		rows[i].Mitigation = d.String()
+	}
+	for i := range rows {
+		rows[i].TransitionCycles = d.Varint()
+	}
+	return rows
+}
+
+type enclaveCodec struct{}
+
+func (c enclaveCodec) Encode(e *evstore.Encoder, rows []EnclaveMeta) {
+	for i := range rows {
+		e.Uvarint(uint64(rows[i].Enclave))
+	}
+	for i := range rows {
+		e.String(rows[i].Name)
+	}
+	for i := range rows {
+		e.Varint(int64(rows[i].NumPages))
+	}
+	for i := range rows {
+		e.String(rows[i].EDL)
+	}
+}
+
+func (c enclaveCodec) Decode(d *evstore.Decoder, n int) []EnclaveMeta {
+	rows := make([]EnclaveMeta, n)
+	for i := range rows {
+		rows[i].Enclave = sgx.EnclaveID(d.Uvarint())
+	}
+	for i := range rows {
+		rows[i].Name = d.String()
+	}
+	for i := range rows {
+		rows[i].NumPages = int(d.Varint())
+	}
+	for i := range rows {
+		rows[i].EDL = d.String()
 	}
 	return rows
 }

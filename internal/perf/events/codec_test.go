@@ -5,27 +5,33 @@ import (
 	"reflect"
 	"testing"
 
-	"sgxperf/internal/evstore"
 	"sgxperf/internal/sgx"
 	"sgxperf/internal/vtime"
 )
 
-// populatedTrace builds a trace touching every table, including the
-// delta-unfriendly corners: out-of-order IDs, NoEvent parents, negative
-// thread IDs, empty and multi-element wake target lists.
-func populatedTrace(t *testing.T) *Trace {
-	t.Helper()
+// populatedTrace builds a trace of n ecall rounds touching every table,
+// including the delta-unfriendly corners: out-of-order IDs, NoEvent
+// parents, negative thread IDs, empty and multi-element wake target
+// lists, multi-row meta and enclave tables with EDL text.
+func populatedTrace(tb testing.TB, n int) *Trace {
+	tb.Helper()
 	tr, err := NewTrace()
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	tr.Meta.Insert(TraceMeta{Workload: "codec-test", FrequencyHz: 2.1e9, Mitigation: "none", TransitionCycles: 13500})
-	tr.Enclaves.Insert(EnclaveMeta{Enclave: 1, Name: "enc", NumPages: 256, EDL: "enclave{};"})
+	tr.Meta.Insert(
+		TraceMeta{Workload: "codec-test", FrequencyHz: 2.1e9, Mitigation: "none", TransitionCycles: 13500},
+		TraceMeta{Workload: "", FrequencyHz: -0.5, Mitigation: "spectre+l1tf", TransitionCycles: -1},
+	)
+	tr.Enclaves.Insert(
+		EnclaveMeta{Enclave: 1, Name: "enc", NumPages: 256, EDL: "enclave {\n  trusted { public void ecall_a(void); };\n};\n"},
+		EnclaveMeta{Enclave: 1 << 40, Name: "", NumPages: 0},
+	)
 	tr.Threads.Insert(
 		ThreadEvent{Thread: 0, Name: "main", Time: 1},
 		ThreadEvent{Thread: -1, Name: "", Time: 2},
 	)
-	for i := 0; i < 2500; i++ {
+	for i := 0; i < n; i++ {
 		id := EventID(i*2 + 1)
 		tr.Ecalls.Insert(CallEvent{
 			ID: id, Kind: KindEcall, Enclave: 1, Thread: sgx.ThreadID(i % 4),
@@ -55,6 +61,11 @@ func populatedTrace(t *testing.T) *Trace {
 			tr.Syncs.Insert(SyncEvent{ID: id + 13000, Kind: kind, Thread: 3, Targets: targets,
 				Time: 1030 + 7*vtime.Cycles(i), Call: id + 1})
 		}
+		if i%9 == 0 {
+			tr.Switchless.Insert(SwitchlessEvent{ID: id + 17000, Kind: KindOcall, Enclave: 1,
+				Thread: 2, CallID: 4, Name: "ocall_sl", Start: 1040 + 7*vtime.Cycles(i),
+				End: 1045 + 7*vtime.Cycles(i), Worker: sgx.ThreadID(5 + i%2), Fallback: i%18 == 0})
+		}
 	}
 	return tr
 }
@@ -74,64 +85,25 @@ func tracesEqual(t *testing.T, a, b *Trace) {
 	check("syncs", a.Syncs.Rows(), b.Syncs.Rows())
 	check("threads", a.Threads.Rows(), b.Threads.Rows())
 	check("enclaves", a.Enclaves.Rows(), b.Enclaves.Rows())
+	check("switchless", a.Switchless.Rows(), b.Switchless.Rows())
 }
 
-// TestTraceBinaryRoundTrip: a full trace survives the columnar codec,
-// compressed and not.
+// TestTraceBinaryRoundTrip: a full trace survives the columnar codec.
 func TestTraceBinaryRoundTrip(t *testing.T) {
-	src := populatedTrace(t)
-	for _, compress := range []bool{false, true} {
-		var buf bytes.Buffer
-		if err := src.SaveWith(&buf, evstore.SaveOptions{Compress: compress}); err != nil {
-			t.Fatal(err)
-		}
-		dst, err := NewTrace()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := dst.Load(bytes.NewReader(buf.Bytes())); err != nil {
-			t.Fatal(err)
-		}
-		tracesEqual(t, src, dst)
-		if dst.NextID() <= src.Ecalls.At(src.Ecalls.Len()-1).ID {
-			t.Fatal("ID allocation did not continue past loaded events")
-		}
-	}
-}
-
-// TestTraceGobMigration: a trace saved by the legacy gob format loads
-// identically through the new Load — the on-disk migration contract for
-// traces recorded before the codec existed.
-func TestTraceGobMigration(t *testing.T) {
-	src := populatedTrace(t)
-	var gobBuf bytes.Buffer
-	if err := src.SaveWith(&gobBuf, evstore.SaveOptions{Format: evstore.FormatGob}); err != nil {
+	src := populatedTrace(t, 2500)
+	var buf bytes.Buffer
+	if err := src.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
 	dst, err := NewTrace()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := dst.Load(bytes.NewReader(gobBuf.Bytes())); err != nil {
-		t.Fatalf("loading legacy gob trace: %v", err)
+	if err := dst.Load(bytes.NewReader(buf.Bytes())); err != nil {
+		t.Fatal(err)
 	}
 	tracesEqual(t, src, dst)
-
-	// And the migrated binary form is smaller than the gob original —
-	// the point of the codec.
-	var binBuf bytes.Buffer
-	if err := dst.Save(&binBuf); err != nil {
-		t.Fatal(err)
+	if dst.NextID() <= src.Ecalls.At(src.Ecalls.Len()-1).ID {
+		t.Fatal("ID allocation did not continue past loaded events")
 	}
-	if binBuf.Len() >= gobBuf.Len() {
-		t.Fatalf("binary save (%d bytes) not smaller than gob (%d bytes)", binBuf.Len(), gobBuf.Len())
-	}
-	re, err := NewTrace()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := re.Load(bytes.NewReader(binBuf.Bytes())); err != nil {
-		t.Fatal(err)
-	}
-	tracesEqual(t, src, re)
 }

@@ -521,6 +521,10 @@ type RunOptions struct {
 	// Duration is the load phase length in virtual time (the paper runs
 	// 31 s).
 	Duration time.Duration
+	// Ops, when positive, ends the load phase after this many operations
+	// in total, split evenly across the clients; Duration stays an upper
+	// bound.
+	Ops int
 	// TargetOpRate is the aggregate operation-pair rate (default tuned so
 	// a 31 s run records ≈1.1M ecalls, §5.2.4).
 	TargetOpRate float64
@@ -585,18 +589,27 @@ func (w *Workload) Run(opts RunOptions) (workloads.Result, error) {
 	// Phase 2: paced full load from every client.
 	perClientInterval := time.Duration(float64(opts.Clients) / opts.TargetOpRate * float64(time.Second))
 	totalOps := int64(0)
+	var longest time.Duration // the slowest client's load phase
 	var opsMu sync.Mutex
 	var runErr error
 	for i := 0; i < opts.Clients; i++ {
 		i := i
 		c := clients[i]
+		quota := -1 // unbounded: Duration alone ends the run
+		if opts.Ops > 0 {
+			quota = opts.Ops / opts.Clients
+			if i < opts.Ops%opts.Clients {
+				quota++
+			}
+		}
 		if err := w.h.Spawn(fmt.Sprintf("load-%d", i), func(ctx *sgx.Context) {
 			freq := ctx.Clock().Frequency()
-			deadline := ctx.Now() + freq.Cycles(opts.Duration)
+			begin := ctx.Now()
+			deadline := begin + freq.Cycles(opts.Duration)
 			interval := freq.Cycles(perClientInterval)
-			slot := ctx.Now()
+			slot := begin
 			ops := 0
-			for ctx.Now() < deadline {
+			for ctx.Now() < deadline && ops != quota {
 				req := Request{Version: -1}
 				payload := payloadFor(i*100000+ops, opts.PayloadBase)
 				switch ops % 4 {
@@ -625,6 +638,7 @@ func (w *Workload) Run(opts RunOptions) (workloads.Result, error) {
 			}
 			opsMu.Lock()
 			totalOps += int64(ops)
+			longest = max(longest, freq.Duration(ctx.Now()-begin))
 			opsMu.Unlock()
 		}); err != nil {
 			return workloads.Result{}, err
@@ -635,11 +649,15 @@ func (w *Workload) Run(opts RunOptions) (workloads.Result, error) {
 		return workloads.Result{}, fmt.Errorf("keeper: load phase: %w", runErr)
 	}
 
+	virtual := opts.Duration
+	if opts.Ops > 0 {
+		virtual = min(virtual, longest)
+	}
 	return workloads.Result{
 		Workload: "securekeeper",
 		Variant:  "proxy",
 		Ops:      int(totalOps),
-		Virtual:  opts.Duration,
+		Virtual:  virtual,
 		Extra: map[string]float64{
 			"clients":  float64(opts.Clients),
 			"zk_ops":   float64(w.store.Ops()),

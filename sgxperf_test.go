@@ -313,6 +313,26 @@ func TestRunWorkloadWithWorkingSet(t *testing.T) {
 	}
 }
 
+// TestRunWorkloadSecureKeeperHonoursOps checks that Ops bounds the
+// SecureKeeper load phase: the clients stop after Ops operations in
+// total instead of running for the full default duration.
+func TestRunWorkloadSecureKeeperHonoursOps(t *testing.T) {
+	calls := make(map[int]int)
+	for _, ops := range []int{20, 2000} {
+		run, err := sgxperf.RunWorkload("securekeeper", sgxperf.WorkloadOptions{Ops: ops, Logger: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if run.Result.Ops != ops {
+			t.Errorf("Ops %d: result reports %d operations", ops, run.Result.Ops)
+		}
+		calls[ops] = run.Trace.Ecalls.Len() + run.Trace.Ocalls.Len()
+	}
+	if calls[20]*10 > calls[2000] {
+		t.Fatalf("Ops 20 recorded %d calls, Ops 2000 %d: want far fewer", calls[20], calls[2000])
+	}
+}
+
 func TestCatalogueAndWeightsExposed(t *testing.T) {
 	// Table 1's six problem classes plus the eight static classes
 	// (reentrancy, boundary copies, transition-bound calls, locks held

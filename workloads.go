@@ -122,7 +122,7 @@ func RunWorkload(name string, opts WorkloadOptions) (*WorkloadRun, error) {
 		}
 		enclave = w.Enclave()
 		run = func(ctx *Context) (WorkloadResult, error) {
-			return w.Run(keeper.RunOptions{Duration: opts.Duration})
+			return w.Run(keeper.RunOptions{Ops: opts.Ops, Duration: opts.Duration})
 		}
 	case "sqlite":
 		variant := minidb.Variant(opts.Variant)
