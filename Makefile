@@ -52,15 +52,20 @@ verify: lint
 
 # Short fuzz smoke over the boundaries that accept untrusted input: the
 # columnar trace codec round-trip, trace files through the full event
-# schema (resident load and stream cursors), the EDL parser, and the
+# schema (resident load and stream cursors), the EDL parser, the
 # analyser over malformed event graphs (checked against the brute-force
-# oracle). FUZZTIME bounds each target (CI uses the default).
+# oracle) and the service's upload and append endpoints. FUZZTIME bounds
+# each target (CI uses the default). Minimising a new input is capped
+# at 1 s: Go's 60 s default would spend the whole budget minimising the
+# first one.
 FUZZTIME ?= 20s
+FUZZFLAGS = -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s
 fuzz:
-	$(GO) test -fuzz=FuzzCodecRoundTrip -fuzztime=$(FUZZTIME) ./internal/evstore
-	$(GO) test -run='^$$' -fuzz=FuzzTraceLoad -fuzztime=$(FUZZTIME) ./internal/perf/events
-	$(GO) test -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/edl
-	$(GO) test -run='^$$' -fuzz=FuzzAnalyze -fuzztime=$(FUZZTIME) ./internal/perf/analyzer
+	$(GO) test -fuzz=FuzzCodecRoundTrip $(FUZZFLAGS) ./internal/evstore
+	$(GO) test -run='^$$' -fuzz=FuzzTraceLoad $(FUZZFLAGS) ./internal/perf/events
+	$(GO) test -fuzz=FuzzParse $(FUZZFLAGS) ./internal/edl
+	$(GO) test -run='^$$' -fuzz=FuzzAnalyze $(FUZZFLAGS) ./internal/perf/analyzer
+	$(GO) test -run='^$$' -fuzz=FuzzServeIngest $(FUZZFLAGS) ./internal/serve
 
 # Re-measure logger recording throughput, chaining the previous results
 # in BENCH_results.json as the baseline for the speedup computation. The

@@ -343,18 +343,20 @@ type TraceList struct {
 	Traces        []TraceInfo `json:"traces"`
 }
 
-// StatsReport is the windowed incremental statistics view
-// (GET /v1/traces/{id}/stats): the same per-call statistics as
-// Report.Stats, assembled from per-chunk window artifacts so an
-// appended trace only recomputes the changed tail window.
+// StatsReport is the per-call statistics view
+// (GET /v1/traces/{id}/stats) of the trace's cached full report: Stats
+// is that report's Stats, ContentKey the trace content key it was
+// cached under.
 type StatsReport struct {
 	SchemaVersion int         `json:"schema_version"`
 	Workload      string      `json:"workload"`
 	ContentKey    string      `json:"content_key"`
 	Stats         []CallStats `json:"stats"`
-	// WindowsTotal is how many chunk windows the trace spans;
-	// WindowsComputed of them were computed for this request and
-	// WindowsReused came from the artifact cache.
+	// WindowsTotal is how many fold windows the report spans;
+	// WindowsComputed of them were folded for this request and
+	// WindowsReused came from the artifact cache — the same numbers as
+	// the Sgxperf-Windows-* headers on /report (all zero when an
+	// out-of-order append sent the report through one unwindowed fold).
 	WindowsTotal    int `json:"windows_total"`
 	WindowsComputed int `json:"windows_computed"`
 	WindowsReused   int `json:"windows_reused"`

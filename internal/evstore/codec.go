@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"sgxperf/internal/pool"
 )
@@ -497,10 +498,25 @@ func (c *countingReader) readUvarint(limit uint64) (uint64, error) {
 	return v, nil
 }
 
+// eagerReadLen is the largest declared length readN allocates up front;
+// it covers a full storage chunk's payload in one allocation.
+const eagerReadLen = 64 << 10
+
+// readN reads exactly n bytes. The buffer grows with the bytes that
+// actually arrive, not with the declared n, so a corrupt length (up to
+// maxDecodeChunkLen) costs memory only for the input that backs it.
 func (c *countingReader) readN(n int) ([]byte, error) {
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(c.r, buf); err != nil {
-		return nil, corruptf("truncated read of %d bytes: %v", n, err)
+	buf := make([]byte, 0, min(n, eagerReadLen))
+	lr := io.LimitReader(c.r, int64(n))
+	for len(buf) < n {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, min(n-len(buf), cap(buf)))
+		}
+		m, err := lr.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+m]
+		if err != nil && len(buf) < n {
+			return nil, corruptf("truncated read: %d of %d bytes: %v", len(buf), n, err)
+		}
 	}
 	return buf, nil
 }

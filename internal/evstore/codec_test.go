@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -257,6 +258,32 @@ func TestCorruptErrorsAreErrCorrupt(t *testing.T) {
 	_, nrowsLen := binary.Uvarint(full[first.Offset:])
 	flagsAt := int(first.Offset) + nrowsLen
 
+	// The file's last chunk with its payload length re-encoded as
+	// 2^28-1 (maxDecodeChunkLen-1, still within the decode limit). The
+	// longer varint shifts the index, so the footer's index offset moves
+	// with it; no chunk offset does, so the file still opens as a stream
+	// and the bad length is met by the cursor's chunk read.
+	last := sr.Chunks("extra")[0]
+	if r := sr.Chunks("recs"); r[len(r)-1].Offset > last.Offset {
+		last = r[len(r)-1]
+	}
+	hugeLen := func() []byte {
+		at := int(last.Offset)
+		_, n := binary.Uvarint(full[at:]) // #rows
+		at += n + 1                       // flags
+		_, n = binary.Uvarint(full[at:])  // payload length
+		b := append([]byte(nil), full[:at]...)
+		b = binary.AppendUvarint(b, maxDecodeChunkLen-1)
+		b = append(b, full[at+n:]...)
+		foot := b[len(b)-footerSize:]
+		idx := binary.LittleEndian.Uint64(foot)
+		binary.LittleEndian.PutUint64(foot, idx+uint64(len(b)-len(full)))
+		return b
+	}()
+	if _, err := NewStreamReader(bytes.NewReader(hugeLen), int64(len(hugeLen))); err != nil {
+		t.Fatalf("patched-length file does not open as a stream: %v", err)
+	}
+
 	for name, data := range map[string][]byte{
 		// Drop the tail of the index and footer.
 		"truncated": full[:len(full)-3],
@@ -265,6 +292,7 @@ func TestCorruptErrorsAreErrCorrupt(t *testing.T) {
 		// A table written through the retired per-chunk gob fallback.
 		"codec byte 0": patched(func(b []byte) { b[dataCodec], b[indexCodec] = 0, 0 }),
 		"flate flag":   patched(func(b []byte) { b[flagsAt] = 1 }),
+		"huge length":  hugeLen,
 	} {
 		dst, _, _ := testDB(t)
 		if err := dst.Load(bytes.NewReader(data)); !errors.Is(err, ErrCorrupt) {
@@ -273,6 +301,20 @@ func TestCorruptErrorsAreErrCorrupt(t *testing.T) {
 		if err := streamErr(data); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s: stream error %v is not ErrCorrupt", name, err)
 		}
+	}
+
+	// A declared length is not an allocation: the failing load costs
+	// memory for the few hundred bytes behind it, not for 256 MiB.
+	dst, _, _ := testDB(t)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err = dst.Load(bytes.NewReader(hugeLen))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("huge length: Load error %v is not ErrCorrupt", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Errorf("huge length: failing Load allocated %d bytes, want < 1 MiB", grew)
 	}
 }
 

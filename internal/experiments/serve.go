@@ -4,8 +4,8 @@ package experiments
 // process, register many concurrent analysis sessions, and measure what
 // the daemon adds over the offline pipeline — cold versus warm report
 // latency through the content-addressed artifact cache, sustained
-// concurrent-session throughput, and how much of the windowed
-// statistics an append invalidates. Wall-clock numbers for the tool
+// concurrent-session throughput, and how many of the report's fold
+// windows an append invalidates. Wall-clock numbers for the tool
 // itself, like the analyze experiment.
 
 import (
@@ -56,9 +56,9 @@ type ServeResult struct {
 	ThroughputRequests int           `json:"throughput_requests"`
 	ThroughputWall     time.Duration `json:"throughput_wall_ns"`
 	RequestsPerSec     float64       `json:"requests_per_sec"`
-	// The append phase on one session: window counts from the stats
-	// endpoint before and after appending a delta. Reused > 0 proves the
-	// append invalidated only the tail of the windowed statistics.
+	// The append phase on one session: the report's fold-window counts,
+	// read from the stats endpoint, before and after appending a delta.
+	// Reused > 0 proves the append refolded only the tail windows.
 	StatsWindowsTotal     int `json:"stats_windows_total"`
 	AppendWindowsTotal    int `json:"append_windows_total"`
 	AppendWindowsComputed int `json:"append_windows_computed"`
@@ -250,8 +250,8 @@ func RunServeBench(sessions, nOps, reqs int) (*ServeResult, error) {
 	res.ThroughputRequests = sessions * reqs
 	res.RequestsPerSec = float64(res.ThroughputRequests) / res.ThroughputWall.Seconds()
 
-	// Append phase on session 0: warm the windowed statistics, append a
-	// delta, and re-request — only the tail windows may recompute.
+	// Append phase on session 0: read the warm report's window counts,
+	// append a delta, and re-request — only the tail windows may refold.
 	statsURL := ts.URL + "/v1/traces/" + ids[0] + "/stats"
 	var cold apiv1.StatsReport
 	if _, err := serveGET(client, statsURL, &cold); err != nil {

@@ -107,3 +107,27 @@ func TestTraceBinaryRoundTrip(t *testing.T) {
 		t.Fatal("ID allocation did not continue past loaded events")
 	}
 }
+
+// TestStreamSortKeepsSortedTables: StreamSort leaves tables already in
+// stream order untouched — same storage, same ContentKey — and sorts
+// one that is not.
+func TestStreamSortKeepsSortedTables(t *testing.T) {
+	tr := populatedTrace(t, 3000)
+	key := tr.ContentKey()
+	first := &tr.Ecalls.ChunkAt(0)[0]
+	StreamSort(tr)
+	if got := tr.ContentKey(); got != key {
+		t.Fatalf("StreamSort on a sorted trace changed ContentKey %s -> %s", key, got)
+	}
+	if &tr.Ecalls.ChunkAt(0)[0] != first {
+		t.Fatal("StreamSort rewrote an already-sorted table")
+	}
+
+	rows := tr.Ocalls.Rows()
+	rows[0], rows[len(rows)-1] = rows[len(rows)-1], rows[0]
+	tr.Ocalls.Replace(rows)
+	StreamSort(tr)
+	if got := tr.ContentKey(); got != key {
+		t.Fatalf("StreamSort did not restore stream order: ContentKey %s, want %s", got, key)
+	}
+}

@@ -10,8 +10,8 @@ import (
 
 // defaultCacheCapacity bounds the artifact cache when Options leaves
 // CacheCapacity zero. Entries are whole analysis artifacts (reports,
-// lint reports, stats windows), so a few hundred is plenty for many
-// concurrently served traces.
+// lint reports, report fold windows), so a few hundred is plenty for
+// many concurrently served traces.
 const defaultCacheCapacity = 512
 
 // ArtifactCache is the server's content-addressed artifact store: an

@@ -24,9 +24,10 @@ import (
 // carry-in.Hash() — so after an append every frozen window replays from
 // the cache and only the tail windows are folded again, for the
 // complete report: statistics, detectors, call graph, security hints.
-// Uploads that are not stream-sorted fall back to one fold over a
-// sorted copy (Analyze); either way the response is byte-identical to the
-// offline analyser's.
+// Registration stream-sorts every trace; only an append that breaks
+// stream order falls back to one fold over a sorted copy (Analyze).
+// Either way the response is byte-identical to the offline analyser's,
+// and GET /stats serves the same report's statistics.
 //
 // Window keys exploit the store's append-only growth: a row, once
 // written, never changes, so the consumed span of each table — from the
@@ -37,11 +38,11 @@ import (
 // chunk the window had consumed only partially (the appended rows sort
 // after the bound); only windows whose before-bound population actually
 // grew are refolded. Counts address content only within one append-only
-// table, so the key is scoped to the trace id — unlike the stats
-// windows, these artifacts are not shared across traces. Every window
-// also folds the full sync chunk-hash array: the sync prescan's wake
-// references feed short-wake classification everywhere, so a sync
-// append conservatively recomputes all windows.
+// table, so the key is scoped to the trace id: these artifacts are not
+// shared across traces. Every window also folds the full sync
+// chunk-hash array: the sync prescan's wake references feed short-wake
+// classification everywhere, so a sync append conservatively recomputes
+// all windows.
 type reportWindowArtifact struct {
 	delta *analyzer.FoldDelta
 	carry *analyzer.FoldCarry

@@ -3,12 +3,14 @@ package serve
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -16,6 +18,7 @@ import (
 
 	"sgxperf"
 	apiv1 "sgxperf/api/v1"
+	"sgxperf/internal/evstore"
 	"sgxperf/internal/host"
 	"sgxperf/internal/perf/analyzer"
 	"sgxperf/internal/perf/events"
@@ -251,9 +254,10 @@ func TestReportCacheHitAndAppendInvalidation(t *testing.T) {
 	}
 }
 
-// TestStatsWindowsIncremental proves the windowed stats engine: the
-// assembled statistics equal the full report's, and appending a chunk's
-// worth of events recomputes only the new tail window.
+// TestStatsWindowsIncremental proves /stats is a view of the windowed
+// report: its statistics equal the full analyser's, with and without an
+// enclave filter, and its window counts are the report's — all folded
+// cold, all replayed warm, and only the tail refolded after an append.
 func TestStatsWindowsIncremental(t *testing.T) {
 	_, ts := newTestServer(t)
 
@@ -267,18 +271,18 @@ func TestStatsWindowsIncremental(t *testing.T) {
 	rows := make([]events.CallEvent, 2048)
 	for i := range rows {
 		rows[i] = events.CallEvent{
-			ID: events.EventID(i + 1), Kind: events.KindEcall, Enclave: 1,
+			ID: events.EventID(i + 1), Kind: events.KindEcall, Enclave: sgx.EnclaveID(1 + i%2),
 			Thread: 1, Name: fmt.Sprintf("ecall_%d", i%3),
 			Start: vtime.Cycles(int64(i) * 10_000), End: vtime.Cycles(int64(i)*10_000 + 20_000 + int64(i%50)*1000),
 			Parent: events.NoEvent, AEXCount: i % 2,
 		}
 	}
 	tr.Ecalls.BatchInsert(rows)
-	upload(t, ts, "w", tr)
+	info := upload(t, ts, "w", tr)
 
-	getStats := func() apiv1.StatsReport {
+	getStats := func(query string) apiv1.StatsReport {
 		t.Helper()
-		status, raw := doReq(t, "GET", ts.URL+"/v1/traces/w/stats", nil)
+		status, raw := doReq(t, "GET", ts.URL+"/v1/traces/w/stats"+query, nil)
 		if status != http.StatusOK {
 			t.Fatalf("stats: status %d: %s", status, raw)
 		}
@@ -288,29 +292,42 @@ func TestStatsWindowsIncremental(t *testing.T) {
 		}
 		return doc
 	}
+	// checkStats compares the served statistics with the analyser's, for
+	// the whole trace and for enclave 1 alone.
+	checkStats := func(when string, all apiv1.StatsReport) {
+		t.Helper()
+		for _, c := range []struct {
+			query   string
+			enclave sgx.EnclaveID
+			doc     apiv1.StatsReport
+		}{{"", 0, all}, {"?enclave=1", 1, getStats("?enclave=1")}} {
+			a, err := analyzer.New(tr, analyzer.Options{Enclave: c.enclave})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(c.doc.Stats, apiv1.FromStats(a.AllStats())) {
+				t.Fatalf("%s: stats%s differ from the analyser's", when, c.query)
+			}
+		}
+	}
 
-	cold := getStats()
+	cold := getStats("")
 	if cold.WindowsTotal != 2 || cold.WindowsComputed != 2 || cold.WindowsReused != 0 {
 		t.Fatalf("cold stats windows = %+v, want 2 computed", cold)
 	}
-
-	// The windowed result must equal the full analyser's stats.
-	a, err := analyzer.New(tr, analyzer.Options{})
-	if err != nil {
-		t.Fatal(err)
+	if cold.ContentKey != info.ContentKey {
+		t.Fatalf("stats content key %s, upload's %s", cold.ContentKey, info.ContentKey)
 	}
-	want := apiv1.FromStats(a.AllStats())
-	if !reflect.DeepEqual(cold.Stats, want) {
-		t.Fatal("windowed stats differ from the analyser's")
-	}
+	checkStats("cold", cold)
 
-	warm := getStats()
+	warm := getStats("")
 	if warm.WindowsComputed != 0 || warm.WindowsReused != 2 {
 		t.Fatalf("warm stats windows = computed %d / reused %d, want 0/2", warm.WindowsComputed, warm.WindowsReused)
 	}
 
-	// Append a third chunk's worth: the two frozen windows are reused,
-	// only the new tail is computed.
+	// Append a third chunk's worth: the frozen first window is reused;
+	// the formerly final window (its key now carries a time bound) and
+	// the new tail are refolded.
 	delta, err := events.NewTrace()
 	if err != nil {
 		t.Fatal(err)
@@ -329,19 +346,125 @@ func TestStatsWindowsIncremental(t *testing.T) {
 		t.Fatalf("append: status %d: %s", status, raw)
 	}
 
-	tail := getStats()
-	if tail.WindowsTotal != 3 || tail.WindowsComputed != 1 || tail.WindowsReused != 2 {
-		t.Fatalf("post-append windows = total %d / computed %d / reused %d, want 3/1/2",
+	tail := getStats("")
+	if tail.WindowsTotal != 3 || tail.WindowsComputed != 2 || tail.WindowsReused != 1 {
+		t.Fatalf("post-append windows = total %d / computed %d / reused %d, want 3/2/1",
 			tail.WindowsTotal, tail.WindowsComputed, tail.WindowsReused)
 	}
 	// Mirror the append locally so the offline analyser sees the same rows.
 	tr.Ecalls.BatchInsert(more)
-	a2, err := analyzer.New(tr, analyzer.Options{})
+	checkStats("post-append", tail)
+}
+
+// reportWindows fetches a trace's report with its fold-window headers
+// (total, computed, reused).
+func reportWindows(t testing.TB, ts *httptest.Server, id string) ([]byte, [3]int) {
+	t.Helper()
+	resp, err := http.Get(ts.URL + "/v1/traces/" + id + "/report")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(tail.Stats, apiv1.FromStats(a2.AllStats())) {
-		t.Fatal("post-append windowed stats differ from the analyser's")
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("report: status %d: %s", resp.StatusCode, raw)
+	}
+	var wc [3]int
+	for i, h := range []string{"Sgxperf-Windows-Total", "Sgxperf-Windows-Computed", "Sgxperf-Windows-Reused"} {
+		v, err := strconv.Atoi(resp.Header.Get(h))
+		if err != nil {
+			t.Fatalf("header %s = %q: %v", h, resp.Header.Get(h), err)
+		}
+		wc[i] = v
+	}
+	return raw, wc
+}
+
+// offlineReport is the offline analyser's canonical report for tr.
+func offlineReport(t testing.TB, tr *events.Trace) []byte {
+	t.Helper()
+	a, err := analyzer.New(tr, analyzer.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := apiv1.Marshal(apiv1.FromReport(a.Analyze()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
+// reverseCalls rewrites tr's ecall and ocall tables in reverse order,
+// so the trace is no longer stream-sorted.
+func reverseCalls(tr *events.Trace) {
+	for _, tbl := range []*evstore.Table[events.CallEvent]{tr.Ecalls, tr.Ocalls} {
+		rows := tbl.Rows()
+		slices.Reverse(rows)
+		tbl.Replace(rows)
+	}
+}
+
+// TestUnsortedUploadUsesReportWindows proves an upload out of stream
+// order is sorted on ingest: its report runs through the fold windows,
+// stays byte-identical to the offline analyser's, and a sorted append
+// replays the frozen windows.
+func TestUnsortedUploadUsesReportWindows(t *testing.T) {
+	_, ts := newTestServer(t)
+	tr := synthTrace(t, 1500)
+	reverseCalls(tr)
+	upload(t, ts, "u", tr)
+
+	cold, wc := reportWindows(t, ts, "u")
+	if wc[0] == 0 || wc[1] != wc[0] {
+		t.Fatalf("unsorted upload: report windows = %v, want all folded through the windows", wc)
+	}
+	if !bytes.Equal(cold, offlineReport(t, tr)) {
+		t.Fatal("unsorted upload: report differs from the offline analyser's")
+	}
+
+	delta := deltaTrace(t, 700, 3_000)
+	if status, raw := doReq(t, "POST", ts.URL+"/v1/traces/u/append", traceBytes(t, delta)); status != http.StatusOK {
+		t.Fatalf("append: status %d: %s", status, raw)
+	}
+	appendTrace(tr, delta)
+	tail, wc := reportWindows(t, ts, "u")
+	if wc[2] < 1 || wc[1] < 1 {
+		t.Fatalf("sorted append: report windows = %v, want frozen windows reused", wc)
+	}
+	if !bytes.Equal(tail, offlineReport(t, tr)) {
+		t.Fatal("sorted append: report differs from the offline analyser's")
+	}
+}
+
+// TestOutOfOrderAppendFallsBack proves an append that breaks stream
+// order is still served correctly: the report leaves the fold windows
+// for one fold over a sorted copy and stays byte-identical to the
+// offline analyser's.
+func TestOutOfOrderAppendFallsBack(t *testing.T) {
+	_, ts := newTestServer(t)
+	tr := synthTrace(t, 600)
+	upload(t, ts, "o", tr)
+	if _, wc := reportWindows(t, ts, "o"); wc[0] == 0 {
+		t.Fatalf("sorted upload: report windows = %v, want the windowed fold", wc)
+	}
+
+	// The delta follows the base in time but arrives in reverse order.
+	delta := deltaTrace(t, 40, 2_000)
+	reverseCalls(delta)
+	status, raw := doReq(t, "POST", ts.URL+"/v1/traces/o/append", traceBytes(t, delta))
+	if status != http.StatusOK {
+		t.Fatalf("append: status %d: %s", status, raw)
+	}
+	appendTrace(tr, delta)
+	rep, wc := reportWindows(t, ts, "o")
+	if wc != [3]int{} {
+		t.Fatalf("out-of-order append: report windows = %v, want the unwindowed fallback", wc)
+	}
+	if !bytes.Equal(rep, offlineReport(t, tr)) {
+		t.Fatal("out-of-order append: report differs from the offline analyser's")
 	}
 }
 
@@ -355,56 +478,19 @@ func TestReportWindowsIncremental(t *testing.T) {
 	tr := synthTrace(t, 1500) // two ecall chunks: multi-window from the start
 	upload(t, ts, "rw", tr)
 
-	getReport := func() ([]byte, [3]int) {
-		t.Helper()
-		resp, err := http.Get(ts.URL + "/v1/traces/rw/report")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		raw, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("report: status %d: %s", resp.StatusCode, raw)
-		}
-		var wc [3]int
-		for i, h := range []string{"Sgxperf-Windows-Total", "Sgxperf-Windows-Computed", "Sgxperf-Windows-Reused"} {
-			v, err := strconv.Atoi(resp.Header.Get(h))
-			if err != nil {
-				t.Fatalf("header %s = %q: %v", h, resp.Header.Get(h), err)
-			}
-			wc[i] = v
-		}
-		return raw, wc
-	}
-	offline := func() []byte {
-		t.Helper()
-		a, err := analyzer.New(tr, analyzer.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		raw, err := apiv1.Marshal(apiv1.FromReport(a.Analyze()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return raw
-	}
-
 	nWin := tr.Ecalls.NumChunks()
 	if nWin < 2 {
 		t.Fatalf("want a multi-chunk trace, got %d ecall chunks", nWin)
 	}
-	cold, wc := getReport()
+	cold, wc := reportWindows(t, ts, "rw")
 	if wc != [3]int{nWin, nWin, 0} {
 		t.Fatalf("cold report windows = %v, want all %d computed", wc, nWin)
 	}
-	if !bytes.Equal(cold, offline()) {
+	if !bytes.Equal(cold, offlineReport(t, tr)) {
 		t.Fatal("cold windowed report differs from the offline analyser's")
 	}
 
-	if _, wc = getReport(); wc != [3]int{nWin, 0, nWin} {
+	if _, wc = reportWindows(t, ts, "rw"); wc != [3]int{nWin, 0, nWin} {
 		t.Fatalf("warm report windows = %v, want all %d reused", wc, nWin)
 	}
 
@@ -421,11 +507,11 @@ func TestReportWindowsIncremental(t *testing.T) {
 	if grown != nWin+1 {
 		t.Fatalf("append grew the ecall table to %d chunks, want %d", grown, nWin+1)
 	}
-	tail, wc := getReport()
+	tail, wc := reportWindows(t, ts, "rw")
 	if wc != [3]int{grown, 2, grown - 2} {
 		t.Fatalf("post-append report windows = %v, want 2 computed / %d reused", wc, grown-2)
 	}
-	if !bytes.Equal(tail, offline()) {
+	if !bytes.Equal(tail, offlineReport(t, tr)) {
 		t.Fatal("post-append windowed report differs from the offline analyser's")
 	}
 }
@@ -574,6 +660,25 @@ func rawSection(t testing.TB, doc []byte, key string) []byte {
 	return m[key]
 }
 
+// hugeChunkLen is a saved 10-op trace whose first ecall chunk declares
+// a payload of 2^28-1 bytes, the most the decoder accepts, with only a
+// few hundred bytes behind it.
+func hugeChunkLen(t testing.TB) []byte {
+	t.Helper()
+	full := traceBytes(t, synthTrace(t, 10))
+	sr, err := evstore.NewStreamReader(bytes.NewReader(full), int64(len(full)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := int(sr.Chunks("ecalls")[0].Offset)
+	_, n := binary.Uvarint(full[at:]) // #rows
+	at += n + 1                       // flags
+	_, n = binary.Uvarint(full[at:])  // payload length
+	b := append([]byte(nil), full[:at]...)
+	b = binary.AppendUvarint(b, 1<<28-1)
+	return append(b, full[at+n:]...)
+}
+
 // TestErrorStatuses drives each sentinel through the HTTP surface.
 func TestErrorStatuses(t *testing.T) {
 	_, ts := newTestServer(t)
@@ -589,6 +694,7 @@ func TestErrorStatuses(t *testing.T) {
 		{"unknown trace", "GET", "/v1/traces/nope/report", nil, http.StatusNotFound},
 		{"unknown trace info", "GET", "/v1/traces/nope", nil, http.StatusNotFound},
 		{"corrupt upload", "POST", "/v1/traces", []byte("not an evstore stream"), http.StatusBadRequest},
+		{"huge chunk length", "POST", "/v1/traces", hugeChunkLen(t), http.StatusBadRequest},
 		{"duplicate id", "POST", "/v1/traces?id=dup", traceBytes(t, synthTrace(t, 5)), http.StatusConflict},
 		{"bad id", "POST", "/v1/traces?id=bad/slash", traceBytes(t, synthTrace(t, 5)), http.StatusBadRequest},
 		{"bad enclave param", "GET", "/v1/traces/dup/report?enclave=x", nil, http.StatusBadRequest},

@@ -139,14 +139,18 @@ func (s *Server) Handler() http.Handler {
 
 // Preload registers an already-loaded trace under id (empty = assigned
 // name), for embedding the server in-process and for the daemon's
-// positional trace-file arguments.
+// positional trace-file arguments. The server takes ownership of tr:
+// registration stream-sorts it in place and appends mutate it, so the
+// caller must not use it afterwards.
 func (s *Server) Preload(id string, tr *events.Trace) error {
 	_, err := s.register(id, tr)
 	return err
 }
 
 // register adds an already-loaded trace under id (empty = assigned);
-// the HTTP upload path funnels through here.
+// the HTTP upload path funnels through here. The trace is stream-sorted
+// before it becomes visible, so its reports run through the windowed
+// fold (foldedReport) from the first request on.
 func (s *Server) register(id string, tr *events.Trace) (*traceEntry, error) {
 	if tr == nil {
 		return nil, fmt.Errorf("serve: %w", analyzer.ErrNoTrace)
@@ -154,6 +158,7 @@ func (s *Server) register(id string, tr *events.Trace) (*traceEntry, error) {
 	if id != "" && !traceIDPattern.MatchString(id) {
 		return nil, fmt.Errorf("%w: trace id %q (want %s)", ErrBadRequest, id, traceIDPattern)
 	}
+	events.StreamSort(tr)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if id == "" {
@@ -211,20 +216,20 @@ type reportEntry struct {
 }
 
 // reportArtifact returns the trace's full wire report, cached by
-// content key. Stream-sorted traces are computed through the windowed
-// fold (foldedReport), so even a cold content key after an append
-// refolds only the tail windows; unsorted uploads run one fold over a
-// sorted copy (Analyze). Concurrency is optimistic: the key is computed
+// content key, with the key and the report's fold-window counts.
+// Registered traces are stream-sorted, so the report is computed
+// through the windowed fold (foldedReport) and even a cold content key
+// after an append refolds only the tail windows. An append that breaks
+// stream order falls back to one fold over a sorted copy
+// (monolithicReport). Concurrency is optimistic: the key is computed
 // before the analysis and revalidated after; since the store is
 // append-only, an unchanged key proves the analysis saw exactly the
 // keyed content, and a changed one discards the run (nothing is cached)
 // and retries under the new key.
-func (s *Server) reportArtifact(ctx context.Context, e *traceEntry, enclave sgx.EnclaveID) (*apiv1.Report, windowCounts, bool, error) {
-	keyOf := func() string {
-		return fmt.Sprintf("report|%s|%d", e.trace.ContentKey(), enclave)
-	}
+func (s *Server) reportArtifact(ctx context.Context, e *traceEntry, enclave sgx.EnclaveID) (*apiv1.Report, string, windowCounts, error) {
 	for attempt := 0; ; attempt++ {
-		key := keyOf()
+		contentKey := e.trace.ContentKey()
+		key := fmt.Sprintf("report|%s|%d", contentKey, enclave)
 		v, hit, err := s.cache.GetOrCompute(key, func() (any, error) {
 			rep, wc, err := s.foldedReport(ctx, e, enclave)
 			if errors.Is(err, analyzer.ErrUnsorted) {
@@ -234,7 +239,7 @@ func (s *Server) reportArtifact(ctx context.Context, e *traceEntry, enclave sgx.
 			if err != nil {
 				return nil, err
 			}
-			if keyOf() != key {
+			if e.trace.ContentKey() != contentKey {
 				return nil, errConcurrentAppend
 			}
 			return &reportEntry{rep: rep, windows: wc}, nil
@@ -250,18 +255,19 @@ func (s *Server) reportArtifact(ctx context.Context, e *traceEntry, enclave sgx.
 			} else {
 				s.noteHeap() // a fresh analysis is where the heap crests
 			}
-			return ent.rep, wc, hit, nil
+			return ent.rep, contentKey, wc, nil
 		}
 		if retryable(ctx, err, attempt) {
 			continue
 		}
-		return nil, windowCounts{}, false, err
+		return nil, "", windowCounts{}, err
 	}
 }
 
-// monolithicReport is the full analysis in one fold, for traces the
-// report windows cannot cover (not stream-sorted): Analyze folds a
-// privately sorted copy.
+// monolithicReport is the full analysis in one fold, for a trace an
+// append has taken out of stream order: the report windows are keyed by
+// row counts of an append-only table, which cannot be re-sorted under
+// them, so Analyze folds a privately sorted copy instead.
 func (s *Server) monolithicReport(ctx context.Context, e *traceEntry, enclave sgx.EnclaveID) (*apiv1.Report, error) {
 	a, err := analyzer.New(e.trace, analyzer.Options{Enclave: enclave})
 	if err != nil {
@@ -307,75 +313,6 @@ func (s *Server) lintArtifact(ctx context.Context, e *traceEntry, src bool) (*ap
 			continue
 		}
 		return nil, false, err
-	}
-}
-
-// statsReport assembles the windowed incremental statistics: one cached
-// artifact per chunk window, so only windows whose chunk hashes changed
-// since the last request (the appended tail) are recomputed.
-func (s *Server) statsReport(ctx context.Context, e *traceEntry, enclave sgx.EnclaveID) (*apiv1.StatsReport, error) {
-	tr := e.trace
-	for attempt := 0; ; attempt++ {
-		contentKey := tr.ContentKey()
-		eh, oh := tr.Ecalls.ChunkHashes(), tr.Ocalls.ChunkHashes()
-		freq, trans := tr.Frequency(), tr.TransitionCycles()
-		n := len(eh)
-		if len(oh) > n {
-			n = len(oh)
-		}
-		windows := make([]*windowArtifact, n)
-		computed, reused := 0, 0
-		var werr error
-		for i := 0; i < n; i++ {
-			ehi, eok := hashAt(eh, i)
-			ohi, ook := hashAt(oh, i)
-			key := windowCacheKey(i, ehi, ohi, eok, ook, enclave, freq, trans)
-			i := i
-			v, hit, err := s.cache.GetOrCompute(key, func() (any, error) {
-				w := computeWindow(tr, i, enclave, freq, trans)
-				// Revalidate: only a tail chunk can have grown mid-scan,
-				// and rehashing is cheap (full-chunk hashes are cached).
-				nowE, _ := hashAt(tr.Ecalls.ChunkHashes(), i)
-				nowO, _ := hashAt(tr.Ocalls.ChunkHashes(), i)
-				if nowE != ehi || nowO != ohi {
-					return nil, errConcurrentAppend
-				}
-				return w, nil
-			})
-			if err != nil {
-				werr = err
-				break
-			}
-			windows[i] = v.(*windowArtifact)
-			if hit {
-				reused++
-			} else {
-				computed++
-			}
-		}
-		if werr == nil {
-			// The two hash snapshots were taken table-by-table; re-reading
-			// them proves no append interleaved and the assembled windows
-			// form one consistent view of the trace.
-			if !hashesEqual(eh, tr.Ecalls.ChunkHashes()) || !hashesEqual(oh, tr.Ocalls.ChunkHashes()) {
-				werr = errConcurrentAppend
-			}
-		}
-		if werr != nil {
-			if retryable(ctx, werr, attempt) {
-				continue
-			}
-			return nil, werr
-		}
-		return &apiv1.StatsReport{
-			SchemaVersion:   apiv1.Version,
-			Workload:        workloadOf(tr),
-			ContentKey:      contentKey,
-			Stats:           apiv1.FromStats(assembleStats(windows)),
-			WindowsTotal:    n,
-			WindowsComputed: computed,
-			WindowsReused:   reused,
-		}, nil
 	}
 }
 
@@ -566,7 +503,7 @@ func (s *Server) serveReport(w http.ResponseWriter, r *http.Request, e *traceEnt
 		writeError(w, err)
 		return
 	}
-	rep, wc, _, err := s.reportArtifact(r.Context(), e, enclave)
+	rep, _, wc, err := s.reportArtifact(r.Context(), e, enclave)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -580,6 +517,9 @@ func (s *Server) serveReport(w http.ResponseWriter, r *http.Request, e *traceEnt
 	writeDoc(w, http.StatusOK, rep)
 }
 
+// handleStats serves the per-call statistics view: the cached report's
+// Stats, with the content key it was cached under and its fold-window
+// counts (the same numbers as the Sgxperf-Windows-* headers on /report).
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	e, err := s.lookup(r)
 	if err != nil {
@@ -591,12 +531,20 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	doc, err := s.statsReport(r.Context(), e, enclave)
+	rep, contentKey, wc, err := s.reportArtifact(r.Context(), e, enclave)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	writeDoc(w, http.StatusOK, doc)
+	writeDoc(w, http.StatusOK, &apiv1.StatsReport{
+		SchemaVersion:   apiv1.Version,
+		Workload:        rep.Workload,
+		ContentKey:      contentKey,
+		Stats:           rep.Stats,
+		WindowsTotal:    wc.total,
+		WindowsComputed: wc.computed,
+		WindowsReused:   wc.reused,
+	})
 }
 
 // handleLint serves the hybrid lint report. ?source=1 asks for the
